@@ -1,9 +1,8 @@
 """Streaming flow log correlation engine with port scan detection."""
 
 from .ingest import FlowRecord, IngestStats, ParseError, Protocol, StreamReset, format_line, ingest, open_stream, parse_line
-from .engine import AddToExpiredError, Context, CorrelationEngine, EngineReport, Rule, Ruleset, match_rule, run_engine
+from .engine import AddToExpiredError, Context, ContextSpec, CorrelationEngine, EngineReport, Rule, Ruleset, match_rule, run_engine
 from .scanrules import (
-    ContextKey,
     Direction,
     ScanAlert,
     ScanKind,
@@ -17,7 +16,7 @@ from .scanrules import (
     load_watchlist,
     scan_trigger,
 )
-from .reporting import FwLine, SinkSet, emit, format_fw_line, format_scan_alert, format_vuln_alert
+from .reporting import FwLine, SinkSet, format_fw_line, format_scan_alert, format_vuln_alert
 from .config import ConfigError, EngineConfig
 from .pipeline import build_scan_ruleset
 from .baseline import BaselineReport, DiffSummary, baseline_scan, compare_reports

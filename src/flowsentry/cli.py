@@ -146,6 +146,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     print(f"{report.contexts_created} contexts created, {report.contexts_fired} fired")
     print(f"{scans} scan alerts -> {paths['portscans']}")
     print(f"{vulns} vulnerability alerts -> {paths['vulscans']}")
+    if sinks.write_failures:
+        sys.stderr.write(f"warning: {sinks.write_failures} output writes failed; output files are incomplete\n")
+        return 2
     return 0
 
 

@@ -3,10 +3,11 @@ with sliding timeouts, and deterministic expiry."""
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Iterable
 
 from .ingest import FlowRecord, IngestStats, StreamReset, TailReader, parse_line, ParseError
@@ -46,25 +47,36 @@ def match_rule(rule: Rule, record: FlowRecord) -> Bindings | None:
     return rule.matcher(record)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True)
+class ContextSpec:
+    """What every context of one rule shares: its timeout, the trigger
+    evaluated once at expiry, and the callback that builds the alert when
+    the trigger holds. Build one per rule, not one per context."""
+
+    timeout_value: float
+    trigger: Callable[["Context"], bool]
+    on_fire: Callable[["Context"], Any]
+
+
 class Context:
     """A correlation bucket keyed by what the messages have in common.
 
     The deadline slides: each added message resets it to that message's
-    engine time plus timeout_value. Expiry evaluates trigger once; on_fire
-    runs only if it holds, and the context is gone either way.
+    engine time plus spec.timeout_value. Expiry evaluates spec.trigger
+    once; spec.on_fire runs only if it holds, and the context is gone
+    either way.
     """
 
-    key: Any
-    name: str
-    timeout_value: float
-    trigger: Callable[["Context"], bool]
-    on_fire: Callable[["Context"], Any]
-    seq: int
-    deadline: float = 0.0
-    live: bool = True
-    messages: list[FlowRecord] = field(default_factory=list)
-    evidence: list[str] = field(default_factory=list)
+    __slots__ = ("key", "spec", "deadline", "messages")
+
+    def __init__(self, key: Any, spec: ContextSpec, deadline: float = 0.0):
+        self.key = key
+        self.spec = spec
+        self.deadline = deadline
+        self.messages: list[FlowRecord] = []
+
+
+_context_key = attrgetter("key")
 
 
 @dataclass
@@ -111,6 +123,12 @@ class CorrelationEngine:
     Per-record order is fixed: advance engine time, expire due contexts,
     then evaluate rules in ruleset order. Sinks, when attached, receive
     alerts in the same order they enter the report.
+
+    Engine time never steps back: it starts at 0 and advance() clamps it to
+    the highest time seen so far. So within one timeout value, the order in
+    which contexts were last touched is also their deadline order, and each
+    timeout gets one queue kept in touch order: a slide moves the context to
+    the back, expiry pops from the front.
     """
 
     def __init__(self, ruleset: Ruleset, *, clock: Any = None, sinks: Any = None):
@@ -119,8 +137,7 @@ class CorrelationEngine:
         self.sinks = sinks
         self.report = EngineReport()
         self._contexts: dict[Any, Context] = {}
-        self._expiry: list[tuple[float, int, Context]] = []
-        self._next_seq = 0
+        self._queues: dict[float, OrderedDict[Any, Context]] = {}
         self._now = 0.0
 
     @property
@@ -139,79 +156,71 @@ class CorrelationEngine:
         if self.sinks is not None:
             self.sinks.emit(item)
 
-    def ensure_context(
-        self,
-        key: Any,
-        *,
-        name: str,
-        timeout_value: float,
-        trigger: Callable[[Context], bool],
-        on_fire: Callable[[Context], Any],
-    ) -> Context:
-        """Return the live context for key, creating it if absent."""
+    def ensure_context(self, key: Any, spec: ContextSpec) -> Context:
+        """Return the live context for key, creating it from spec if absent."""
         ctx = self._contexts.get(key)
         if ctx is not None:
             return ctx
-        ctx = Context(
-            key=key,
-            name=name,
-            timeout_value=timeout_value,
-            trigger=trigger,
-            on_fire=on_fire,
-            seq=self._next_seq,
-            deadline=self._now + timeout_value,
-        )
-        self._next_seq += 1
+        timeout = spec.timeout_value
+        ctx = Context(key, spec, self._now + timeout)
         self._contexts[key] = ctx
-        heapq.heappush(self._expiry, (ctx.deadline, ctx.seq, ctx))
+        queue = self._queues.get(timeout)
+        if queue is None:
+            queue = self._queues[timeout] = OrderedDict()
+        queue[key] = ctx
         self.report.contexts_created += 1
         return ctx
 
-    def add_to_context(self, ctx: Context, message: FlowRecord, formatted: str) -> Context:
+    def add_to_context(self, ctx: Context, message: FlowRecord) -> Context:
         """Append a message and slide the deadline to now + timeout_value."""
-        if not ctx.live:
-            raise AddToExpiredError(f"context {ctx.name!r} already expired")
+        key = ctx.key
+        if self._contexts.get(key) is not ctx:
+            raise AddToExpiredError(f"context {key!r} already expired")
         ctx.messages.append(message)
-        ctx.evidence.append(formatted)
-        deadline = self._now + ctx.timeout_value
+        timeout = ctx.spec.timeout_value
+        deadline = self._now + timeout
         if deadline != ctx.deadline:
             ctx.deadline = deadline
-            heapq.heappush(self._expiry, (deadline, ctx.seq, ctx))
+            self._queues[timeout].move_to_end(key)
         return ctx
 
     def expire_contexts(self, now: float) -> list[Any]:
         """Remove every context whose deadline is <= now, firing triggers.
 
-        Contexts due at the same instant fire in key order so runs are
-        reproducible regardless of store internals.
+        All contexts due in one call fire in key order, whatever their
+        deadlines, so runs are reproducible regardless of store internals.
         """
-        fired: list[Any] = []
-        expiry = self._expiry
-        if not expiry or expiry[0][0] > now:
-            return fired
         due: list[Context] = []
-        while expiry and expiry[0][0] <= now:
-            deadline, _, ctx = heapq.heappop(expiry)
-            if not ctx.live or ctx.deadline != deadline:
-                continue
-            due.append(ctx)
+        for queue in self._queues.values():
+            for ctx in queue.values():
+                if ctx.deadline > now:
+                    break
+                due.append(ctx)
+        fired: list[Any] = []
+        if not due:
+            return fired
         if len(due) > 1:
-            due.sort(key=lambda c: c.key)
+            due.sort(key=_context_key)
+        contexts, queues, report = self._contexts, self._queues, self.report
         for ctx in due:
-            ctx.live = False
-            del self._contexts[ctx.key]
-            self.report.contexts_expired += 1
-            if ctx.trigger(ctx):
-                self.report.contexts_fired += 1
-                alert = ctx.on_fire(ctx)
+            spec = ctx.spec
+            del contexts[ctx.key]
+            del queues[spec.timeout_value][ctx.key]
+            report.contexts_expired += 1
+            if spec.trigger(ctx):
+                report.contexts_fired += 1
+                alert = spec.on_fire(ctx)
                 if alert is not None:
                     fired.append(alert)
                     self.emit(alert)
         return fired
 
     def advance(self, now: float) -> list[Any]:
-        self._now = now
-        return self.expire_contexts(now)
+        """Move engine time to now, or keep it where it is if now is
+        earlier, and expire what is due."""
+        if now > self._now:
+            self._now = now
+        return self.expire_contexts(self._now)
 
     def process(self, record: FlowRecord, now: float | None = None) -> None:
         self.advance(self.clock.now_for(record) if now is None else now)

@@ -12,15 +12,9 @@ from typing import Callable, Iterator
 
 logger = logging.getLogger(__name__)
 
-# Canonical line grammar. Field 8 is validated but carries no meaning for
-# detection; it is kept on the record so lines can be reproduced verbatim.
-LINE_GRAMMAR = (
-    r"^([0-9]+),([0-9]+),([0-9]+:[0-9]+:[0-9]+),(TCP|UDP|ICMP),"
-    r"([0-9.]+):([0-9]+|--),([0-9.]+):([0-9]+|--),[0-9]+,([0-9]+)$"
-)
-
-# Same language as LINE_GRAMMAR, with extra captures so every field
-# (including the time components and field 8) comes out of one match.
+# The line grammar, with one capture per field (the time split into its
+# components). Field 8 is validated but carries no meaning for detection;
+# it is kept on the record so lines can be reproduced verbatim.
 _PARSE_RE = re.compile(
     r"([0-9]+),([0-9]+),([0-9]+):([0-9]+):([0-9]+),(TCP|UDP|ICMP),"
     r"([0-9.]+):([0-9]+|--),([0-9.]+):([0-9]+|--),([0-9]+),([0-9]+)"
@@ -97,7 +91,8 @@ class IngestStats:
 
 @dataclass(frozen=True)
 class StreamReset:
-    """Emitted in follow mode when the file shrank underneath the reader."""
+    """Emitted in follow mode when the file shrank underneath the reader or
+    a new file took its name (log rotation)."""
 
     line_number: int
 
@@ -182,12 +177,21 @@ def format_line(record: FlowRecord) -> str:
     )
 
 
+# Most bytes one poll() reads, so a burst of growth is taken in bounded
+# steps rather than in one read.
+READ_CHUNK_BYTES = 1 << 20
+
+
 class TailReader:
     """Non-blocking incremental reader for a file that may still be growing.
 
-    poll() returns whatever complete lines arrived since the last call, as
-    (line_number, text) pairs. Truncation shows up as a StreamReset item and
-    reading restarts from the top of the file.
+    poll() returns complete lines that arrived since the last call, as
+    (line_number, text) pairs, reading at most READ_CHUNK_BYTES per call.
+    Truncation, or a different file under the path (a rename-and-recreate
+    rotation, seen as a new device and inode), shows up as a StreamReset
+    item, and reading restarts from the top of the file. While the path is
+    missing, between a rotation's rename and re-create, poll() returns
+    nothing.
     """
 
     def __init__(self, path: str):
@@ -196,27 +200,33 @@ class TailReader:
         self._buf = b""
         self._line_no = 0
         # Fail fast on unreadable paths.
-        with open(path, "rb"):
-            pass
+        with open(path, "rb") as handle:
+            st = os.fstat(handle.fileno())
+        self._file_id = (st.st_dev, st.st_ino)
 
     def poll(self) -> list[tuple[int, str] | StreamReset]:
         out: list[tuple[int, str] | StreamReset] = []
-        size = os.stat(self._path).st_size
-        if size < self._pos:
-            out.append(StreamReset(self._line_no))
-            self._pos = 0
-            self._buf = b""
-        if size > self._pos:
-            with open(self._path, "rb") as handle:
-                handle.seek(self._pos)
-                chunk = handle.read()
-                self._pos = handle.tell()
-            self._buf += chunk
-            *complete, self._buf = self._buf.split(b"\n")
-            for raw in complete:
-                self._line_no += 1
-                text = raw.decode("utf-8", errors="replace").rstrip("\r")
-                out.append((self._line_no, text))
+        try:
+            handle = open(self._path, "rb")
+        except FileNotFoundError:
+            return out
+        with handle:
+            st = os.fstat(handle.fileno())
+            file_id = (st.st_dev, st.st_ino)
+            if file_id != self._file_id or st.st_size < self._pos:
+                out.append(StreamReset(self._line_no))
+                self._file_id = file_id
+                self._pos = 0
+                self._buf = b""
+            if st.st_size <= self._pos:
+                return out
+            handle.seek(self._pos)
+            chunk = handle.read(READ_CHUNK_BYTES)
+        self._pos += len(chunk)
+        *complete, self._buf = (self._buf + chunk).split(b"\n")
+        for raw in complete:
+            self._line_no += 1
+            out.append((self._line_no, raw.decode("utf-8", errors="replace").rstrip("\r")))
         return out
 
 
@@ -266,7 +276,7 @@ def ingest(
     def records() -> Iterator[FlowRecord]:
         for item in open_stream(source, mode, poll_interval=poll_interval, stop=stop):
             if isinstance(item, StreamReset):
-                logger.warning("%s shrank; following from the top", source)
+                logger.warning("%s was truncated or replaced; following from the top", source)
                 continue
             stats.lines_read += 1
             try:

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from .config import EngineConfig
-from .engine import Bindings, Context, CorrelationEngine, Rule, Ruleset
-from .ingest import FlowRecord, format_tod
+from .engine import Bindings, ContextSpec, CorrelationEngine, Rule, Ruleset
+from .ingest import FlowRecord
 from .reporting import FwLine, format_fw_line
 from .scanrules import (
     Direction,
-    TriggerPolicy,
     Watchlist,
     check_watchlist,
     classify_direction,
@@ -16,24 +15,6 @@ from .scanrules import (
     scan_trigger,
     trigger_holds,
 )
-
-
-def flow_bindings(record: FlowRecord) -> Bindings:
-    """The variables every flow rule binds, as they appear in output."""
-    return {
-        "sourceip": record.source_ip,
-        "sourceport": str(record.source_port),
-        "destip": record.dest_ip,
-        "destport": str(record.dest_port),
-        "time": format_tod(record.event_time),
-    }
-
-
-def evidence_line(bindings: Bindings) -> str:
-    return (
-        f"{bindings['sourceip']}:{bindings['sourceport']} to "
-        f"{bindings['destip']}:{bindings['destport']} at {bindings['time']}"
-    )
 
 
 def build_scan_ruleset(
@@ -52,28 +33,14 @@ def build_scan_ruleset(
     """
     nets = config.networks()
     policy = config.policy()
-    timeout_value = config.timeout_value
     date = config.resolved_date()
     tz = config.tz
     watchlist = watchlist if watchlist is not None else Watchlist()
-
-    def fire(ctx: Context):
-        return scan_trigger(ctx, policy)
-
-    def passes(ctx: Context) -> bool:
-        return trigger_holds(ctx, policy)
-
-    def scan_step(engine: CorrelationEngine, record: FlowRecord, bindings: Bindings) -> None:
-        line = evidence_line(bindings)
-        for key in derive_keys(record):
-            ctx = engine.ensure_context(
-                key,
-                name=f"{key.kind.value} scan from {record.source_ip}",
-                timeout_value=timeout_value,
-                trigger=passes,
-                on_fire=fire,
-            )
-            engine.add_to_context(ctx, record, line)
+    spec = ContextSpec(
+        timeout_value=config.timeout_value,
+        trigger=lambda ctx: trigger_holds(ctx, policy),
+        on_fire=lambda ctx: scan_trigger(ctx, policy),
+    )
 
     def flow_action(engine: CorrelationEngine, record: FlowRecord, bindings: Bindings) -> None:
         direction = classify_direction(record, nets)
@@ -83,6 +50,7 @@ def build_scan_ruleset(
         if alert is not None:
             engine.emit(alert)
         if direction is Direction.INCOMING:
-            scan_step(engine, record, bindings)
+            for key in derive_keys(record):
+                engine.add_to_context(engine.ensure_context(key, spec), record)
 
-    return Ruleset([Rule("flow", flow_bindings, [flow_action])])
+    return Ruleset([Rule("flow", lambda record: {}, [flow_action])])

@@ -129,7 +129,3 @@ class SinkSet:
                     sys.stdout.flush()
             elif isinstance(item, VulnAlert):
                 self._write("vulscans", format_vuln_alert(item) + "\n", flush=True)
-
-
-def emit(item: Any, sinks: SinkSet) -> None:
-    sinks.emit(item)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import ipaddress
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
@@ -30,25 +30,13 @@ class Direction(Enum):
     OUTGOING = "outgoing"
 
 
-@dataclass(frozen=True, slots=True)
-class ContextKey:
-    """What a scan context groups on.
-
-    Vertical: one remote source probing ports on one local host, so fixed
-    is the destination address. Horizontal: one remote source probing one
-    port across local hosts, so fixed is the destination port.
-    """
-
-    kind: ScanKind
-    remote_ip: str
-    fixed: str | int
-    _sort: tuple[str, str, str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_sort", (self.kind.value, self.remote_ip, str(self.fixed)))
-
-    def __lt__(self, other: "ContextKey") -> bool:
-        return self._sort < other._sort
+# What a scan context groups on: (kind, remote_ip, fixed). Vertical: one
+# remote source probing ports on one local host, so fixed is the
+# destination address. Horizontal: one remote source probing one port
+# across local hosts, so fixed is the destination port as text. Keys are
+# plain tuples so they hash and sort in C; the port stays text so keys sort
+# as text ("12346" before "9").
+ScanKey = tuple[ScanKind, str, str]
 
 
 @dataclass(frozen=True)
@@ -104,12 +92,22 @@ def classify_direction(record: FlowRecord, local_nets: LocalNetworks | Iterable[
     return Direction.OUTGOING if nets.contains(record.source_ip) else Direction.INCOMING
 
 
-def derive_keys(record: FlowRecord) -> tuple[ContextKey, ContextKey]:
+def derive_keys(record: FlowRecord) -> tuple[ScanKey, ScanKey]:
     """Both scan keys for a record; every incoming record belongs to exactly
     one vertical and one horizontal context."""
+    source_ip = record.source_ip
     return (
-        ContextKey(ScanKind.VERTICAL, record.source_ip, record.dest_ip),
-        ContextKey(ScanKind.HORIZONTAL, record.source_ip, record.dest_port),
+        (ScanKind.VERTICAL, source_ip, record.dest_ip),
+        (ScanKind.HORIZONTAL, source_ip, str(record.dest_port)),
+    )
+
+
+def evidence_line(record: FlowRecord) -> str:
+    """One evidence line of a scan alert, built from the record when its
+    context fires."""
+    return (
+        f"{record.source_ip}:{record.source_port} to "
+        f"{record.dest_ip}:{record.dest_port} at {format_tod(record.event_time)}"
     )
 
 
@@ -133,8 +131,7 @@ class TriggerPolicy:
 
 
 def count_distinct_targets(ctx: "Context") -> int:
-    key: ContextKey = ctx.key
-    if key.kind is ScanKind.VERTICAL:
+    if ctx.key[0] is ScanKind.VERTICAL:
         return len({m.dest_port for m in ctx.messages})
     return len({m.dest_ip for m in ctx.messages})
 
@@ -150,14 +147,15 @@ def scan_trigger(ctx: "Context", policy: TriggerPolicy) -> ScanAlert | None:
     below the policy threshold (a lone probe never alerts)."""
     if not trigger_holds(ctx, policy):
         return None
-    key: ContextKey = ctx.key
+    kind, remote_ip, fixed = ctx.key
+    messages = ctx.messages
     return ScanAlert(
-        kind=key.kind,
-        remote_ip=key.remote_ip,
-        fixed=key.fixed,
-        evidence=tuple(ctx.evidence),
-        first_seen=format_tod(ctx.messages[0].event_time),
-        last_seen=format_tod(ctx.messages[-1].event_time),
+        kind=kind,
+        remote_ip=remote_ip,
+        fixed=int(fixed) if kind is ScanKind.HORIZONTAL else fixed,
+        evidence=tuple(evidence_line(m) for m in messages),
+        first_seen=format_tod(messages[0].event_time),
+        last_seen=format_tod(messages[-1].event_time),
         distinct_targets=count_distinct_targets(ctx),
     )
 

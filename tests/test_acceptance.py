@@ -16,7 +16,7 @@ import pytest
 from flowsentry.baseline import baseline_scan, compare_reports
 from flowsentry.bench import REFERENCE_MSGS_PER_SEC, measure_throughput
 from flowsentry.config import EngineConfig
-from flowsentry.engine import Context, CorrelationEngine, Rule, Ruleset, run_engine
+from flowsentry.engine import Context, ContextSpec, CorrelationEngine, Rule, Ruleset, run_engine
 from flowsentry.generator import GenConfig, ScanSpec, generate, ground_truth_check, preset
 from flowsentry.ingest import ParseError, ingest, parse_line
 from flowsentry.pipeline import build_scan_ruleset
@@ -171,23 +171,22 @@ def test_criterion_4_context_invariants_under_fuzzing():
             return records
 
         def run_instrumented(records):
-            fired_seqs = []
+            fired = []
 
             def fire(ctx):
-                fired_seqs.append(ctx.seq)
+                fired.append(ctx)
                 return scan_trigger(ctx, policy)
 
             def holds(ctx):
                 return trigger_holds(ctx, policy)
 
+            spec = ContextSpec(timeout, trigger=holds, on_fire=fire)
+
             def action(engine, record, bindings):
                 if classify_direction(record, nets) is Direction.OUTGOING:
                     return
                 for key in derive_keys(record):
-                    ctx = engine.ensure_context(
-                        key, name="probe bucket", timeout_value=timeout, trigger=holds, on_fire=fire
-                    )
-                    engine.add_to_context(ctx, record, "")
+                    engine.add_to_context(engine.ensure_context(key, spec), record)
 
             engine = CorrelationEngine(Ruleset([Rule("scan", lambda r: {}, [action])]))
             for record in records:
@@ -200,7 +199,8 @@ def test_criterion_4_context_invariants_under_fuzzing():
                     assert ctx.deadline == ctx.messages[-1].event_time + timeout
                     assert all(ctx.key in derive_keys(m) for m in ctx.messages)
             report = engine.finish()
-            assert len(fired_seqs) == len(set(fired_seqs))
+            # fired holds every fired context, so identities cannot be reused.
+            assert len(fired) == len({id(ctx) for ctx in fired})
             assert report.contexts_fired <= report.contexts_expired
             assert report.contexts_expired == report.contexts_created
             return report
@@ -230,9 +230,8 @@ def test_criterion_5_single_probes_never_alert():
                                     records.append(make_record(dst=f"10.0.0.{i % distinct + 1}", dport=12346))
                             probe = records[0] if records else make_record()
                             key = derive_keys(probe)[0 if kind is ScanKind.VERTICAL else 1]
-                            ctx = Context(key=key, name="t", timeout_value=900.0, trigger=lambda c: True, on_fire=lambda c: None, seq=0)
+                            ctx = Context(key, ContextSpec(900.0, trigger=lambda c: True, on_fire=lambda c: None))
                             ctx.messages.extend(records)
-                            ctx.evidence.extend("e" for _ in records)
                             alert = scan_trigger(ctx, policy)
                             should_fire = size > 0 and (size if mode == "min_messages" else distinct) >= threshold
                             assert (alert is not None) == should_fire

@@ -7,6 +7,7 @@ import yaml
 
 from flowsentry.cli import OUTPUT_DIR_ENV, build_parser, run_command
 from flowsentry.generator import GenConfig, ScanSpec, generate
+from flowsentry.reporting import SinkSet
 from flowsentry.scanrules import ScanKind
 
 from conftest import make_line, slow_probe_lines
@@ -90,6 +91,38 @@ def test_analyze_is_byte_deterministic(tmp_path):
         first = (tmp_path / "first" / f"{name}_flows.log").read_bytes()
         second = (tmp_path / "second" / f"{name}_flows.log").read_bytes()
         assert first == second
+
+
+class FailingHandle:
+    """A sink file whose writes all fail, as on a full disk."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        pass
+
+    def close(self):
+        pass
+
+
+def test_analyze_reports_sink_write_failures_and_exits_2(tmp_path, capsys, monkeypatch):
+    real_open = SinkSet.open
+
+    def open_with_failing_portscans(self):
+        real_open(self)
+        self._handles["portscans"].close()
+        self._handles["portscans"] = FailingHandle()
+        return self
+
+    monkeypatch.setattr(SinkSet, "open", open_with_failing_portscans)
+    log = write_corpus(tmp_path)
+    assert run_command(analyze_args(log, tmp_path / "out", "--timeout", "900", "--no-console")) == 2
+    captured = capsys.readouterr()
+    assert "warning: 1 output writes failed" in captured.err
+    # The summary still reports the whole run.
+    assert "lines read" in captured.out
+    assert "1 scan alerts" in captured.out
 
 
 def test_missing_input_exits_2(tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from flowsentry.engine import (
     AddToExpiredError,
     BatchClock,
+    ContextSpec,
     CorrelationEngine,
     Rule,
     Ruleset,
@@ -31,10 +32,10 @@ def count_rule(timeout=900.0, threshold=2, key_fn=lambda r: r.source_ip):
     def holds(ctx):
         return len(ctx.messages) >= threshold
 
+    spec = ContextSpec(timeout, holds, fire)
+
     def action(engine, record, bindings):
-        key = key_fn(record)
-        ctx = engine.ensure_context(key, name=str(key), timeout_value=timeout, trigger=holds, on_fire=fire)
-        engine.add_to_context(ctx, record, "")
+        engine.add_to_context(engine.ensure_context(key_fn(record), spec), record)
 
     return Rule("count-by-source", lambda record: {}, [action])
 
@@ -103,7 +104,7 @@ def test_adding_to_an_expired_context_is_an_error():
     stale = engine.find_context("5.5.5.10")
     engine.advance(100.0)
     with pytest.raises(AddToExpiredError):
-        engine.add_to_context(stale, make_record(), "")
+        engine.add_to_context(stale, make_record())
 
 
 def test_single_message_context_expires_without_firing():
@@ -117,7 +118,7 @@ def test_single_message_context_expires_without_firing():
 
 def test_empty_context_expires_without_firing():
     engine = CorrelationEngine(Ruleset([]))
-    engine.ensure_context("k", name="k", timeout_value=5.0, trigger=lambda c: len(c.messages) >= 2, on_fire=lambda c: "x")
+    engine.ensure_context("k", ContextSpec(5.0, trigger=lambda c: len(c.messages) >= 2, on_fire=lambda c: "x"))
     engine.advance(100.0)
     assert engine.report.contexts_expired == 1
     assert engine.report.alerts == []
@@ -129,6 +130,94 @@ def test_simultaneous_expiry_fires_in_key_order():
         engine.process(make_record(src=src), now=0.0)
     engine.advance(10.0)
     assert [key for key, _ in engine.report.alerts] == ["9.9.9.1", "9.9.9.2", "9.9.9.3"]
+
+
+def test_one_advance_over_several_deadlines_fires_in_key_order():
+    engine = CorrelationEngine(
+        Ruleset(
+            [
+                count_rule(timeout=10.0, threshold=1, key_fn=lambda r: "b-" + r.source_ip),
+                count_rule(timeout=20.0, threshold=1, key_fn=lambda r: "a-" + r.source_ip),
+            ]
+        )
+    )
+    for now, src in ((0.0, "9.9.9.3"), (1.0, "9.9.9.1"), (2.0, "9.9.9.2")):
+        engine.process(make_record(src=src), now=now)
+    engine.advance(50.0)
+    assert [key for key, _ in engine.report.alerts] == [
+        "a-9.9.9.1", "a-9.9.9.2", "a-9.9.9.3", "b-9.9.9.1", "b-9.9.9.2", "b-9.9.9.3",
+    ]
+
+
+def test_rules_with_different_timeouts_expire_at_their_own_deadlines():
+    engine = CorrelationEngine(
+        Ruleset(
+            [
+                count_rule(timeout=10.0, threshold=1, key_fn=lambda r: "short-" + r.source_ip),
+                count_rule(timeout=30.0, threshold=1, key_fn=lambda r: "long-" + r.source_ip),
+            ]
+        )
+    )
+    engine.process(make_record(src="9.9.9.1"), now=0.0)
+    engine.process(make_record(src="9.9.9.2"), now=5.0)
+    engine.process(make_record(src="9.9.9.1"), now=8.0)
+    expired = []
+    for now in (14.999, 15.0, 17.999, 18.0, 34.999, 35.0, 37.999, 38.0):
+        expired.append([key for key, _ in engine.advance(now)])
+    assert expired == [[], ["short-9.9.9.2"], [], ["short-9.9.9.1"], [], ["long-9.9.9.2"], [], ["long-9.9.9.1"]]
+    assert [size for _, size in engine.report.alerts] == [1, 2, 1, 2]
+
+
+def test_time_behind_the_high_water_mark_expires_nothing_early():
+    engine = CorrelationEngine(Ruleset([count_rule(timeout=600.0, key_fn=lambda r: r.dest_ip)]))
+    engine.process(make_record(time="14:10:00", dst="10.0.0.1"))
+    # Stamped five minutes behind: engine time stays at 14:10:00.
+    engine.process(make_record(time="14:05:00", dst="10.0.0.2"))
+    assert engine.now == tod("14:10:00")
+    assert engine.find_context("10.0.0.2").deadline == tod("14:10:00") + 600
+    engine.process(make_record(time="14:19:59", dst="10.0.0.3"))
+    assert engine.find_context("10.0.0.1") is not None
+    assert engine.find_context("10.0.0.2") is not None
+    engine.process(make_record(time="14:20:00", dst="10.0.0.3"))
+    assert engine.find_context("10.0.0.1") is None
+    assert engine.find_context("10.0.0.2") is None
+    assert engine.report.contexts_expired == 2
+
+
+def queued_contexts(engine):
+    return [(timeout, ctx) for timeout, queue in engine._queues.items() for ctx in queue.values()]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.integers(-120, 400), st.sampled_from(["9.9.9.1", "9.9.9.2", "9.9.9.3"]), st.integers(0, 2)),
+        max_size=60,
+    )
+)
+def test_queues_hold_exactly_the_live_contexts(steps):
+    rules = [
+        count_rule(timeout=300.0, key_fn=lambda r: ("a", r.source_ip)),
+        count_rule(timeout=900.0, key_fn=lambda r: ("b", r.source_ip, r.dest_port)),
+    ]
+    engine = CorrelationEngine(Ruleset(rules))
+    t = 50000
+    for gap, src, port in steps:
+        t += gap
+        engine.process(make_record(time=t, src=src, dport=port), now=float(t))
+        live = engine.live_contexts()
+        queued = queued_contexts(engine)
+        # No stale entries: every queued context is live, and only once.
+        assert sorted(map(id, live)) == sorted(id(ctx) for _, ctx in queued)
+        for timeout, queue in engine._queues.items():
+            deadlines = [ctx.deadline for ctx in queue.values()]
+            assert deadlines == sorted(deadlines)
+            assert all(ctx.spec.timeout_value == timeout for ctx in queue.values())
+        assert all(ctx.deadline > engine.now for ctx in live)
+    engine.finish()
+    assert engine.live_contexts() == []
+    assert queued_contexts(engine) == []
+    assert engine.report.contexts_expired == engine.report.contexts_created
 
 
 def test_finish_flushes_pending_contexts():

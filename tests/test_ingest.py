@@ -1,5 +1,6 @@
 """Line grammar, parse failures with offsets, and file tailing."""
 
+import sys
 import threading
 import time
 
@@ -210,6 +211,44 @@ def test_tail_reader_reports_truncation(tmp_path):
     assert items[0] == StreamReset(2)
     # Reading restarts from the top but line numbers keep climbing.
     assert items[1] == (3, "new")
+
+
+def test_tail_reader_follows_rename_and_recreate_rotation(tmp_path):
+    path = tmp_path / "flows.log"
+    path.write_text("old-1\nold-2\n")
+    reader = TailReader(str(path))
+    assert reader.poll() == [(1, "old-1"), (2, "old-2")]
+    path.rename(tmp_path / "flows.log.1")
+    # The new file is longer than the old one was, so its size alone does
+    # not reveal the rotation.
+    path.write_text("new-1\nnew-2\nnew-3\n")
+    assert reader.poll() == [StreamReset(2), (3, "new-1"), (4, "new-2"), (5, "new-3")]
+    assert reader.poll() == []
+
+
+def test_tail_reader_waits_while_the_path_is_missing(tmp_path):
+    path = tmp_path / "flows.log"
+    path.write_text("old-1\n")
+    reader = TailReader(str(path))
+    assert reader.poll() == [(1, "old-1")]
+    path.rename(tmp_path / "flows.log.1")
+    assert reader.poll() == []
+    path.write_text("new-1\n")
+    assert reader.poll() == [StreamReset(1), (2, "new-1")]
+
+
+def test_tail_reader_reads_growth_in_bounded_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys.modules[TailReader.__module__], "READ_CHUNK_BYTES", 8)
+    path = tmp_path / "flows.log"
+    lines = [f"line-{i}" for i in range(10)]
+    path.write_text("".join(line + "\n" for line in lines))
+    reader = TailReader(str(path))
+    first = reader.poll()
+    assert first == [(1, "line-0")]
+    collected = list(first)
+    for _ in range(20):
+        collected.extend(reader.poll())
+    assert collected == list(enumerate(lines, 1))
 
 
 def test_tail_reader_missing_file_fails_fast(tmp_path):

@@ -2,9 +2,9 @@
 
 from flowsentry.config import EngineConfig
 from flowsentry.engine import match_rule, run_engine
-from flowsentry.pipeline import build_scan_ruleset, evidence_line, flow_bindings
+from flowsentry.pipeline import build_scan_ruleset
 from flowsentry.reporting import FwLine
-from flowsentry.scanrules import Direction, ScanAlert, ScanKind, VulnAlert, Watchlist, WatchlistEntry
+from flowsentry.scanrules import Direction, ScanAlert, ScanKind, VulnAlert, Watchlist, WatchlistEntry, evidence_line
 
 from conftest import make_record, slow_probe_records
 
@@ -21,25 +21,14 @@ class SpySinks:
         self.items.append(item)
 
 
-def test_flow_bindings_are_the_output_variables():
-    bindings = flow_bindings(make_record())
-    assert bindings == {
-        "sourceip": "5.5.5.10",
-        "sourceport": "3434",
-        "destip": "10.0.0.7",
-        "destport": "12346",
-        "time": "14:03:33",
-    }
-
-
 def test_evidence_line_golden():
-    assert evidence_line(flow_bindings(make_record())) == "5.5.5.10:3434 to 10.0.0.7:12346 at 14:03:33"
+    assert evidence_line(make_record()) == "5.5.5.10:3434 to 10.0.0.7:12346 at 14:03:33"
 
 
 def test_ruleset_rule_matches_every_flow_record():
     ruleset = build_scan_ruleset(EngineConfig(date="2004/11/05"))
     (rule,) = ruleset.rules
-    assert match_rule(rule, make_record()) == flow_bindings(make_record())
+    assert match_rule(rule, make_record()) == {}
 
 
 def test_slow_probes_become_one_horizontal_alert():

@@ -4,9 +4,8 @@ import logging
 
 import pytest
 
-from flowsentry.engine import Context
+from flowsentry.engine import Context, ContextSpec
 from flowsentry.scanrules import (
-    ContextKey,
     Direction,
     LocalNetworks,
     ScanKind,
@@ -27,10 +26,8 @@ from conftest import make_record
 
 def ctx_with(records, kind=ScanKind.HORIZONTAL):
     key = derive_keys(records[0])[0 if kind is ScanKind.VERTICAL else 1]
-    ctx = Context(key=key, name="t", timeout_value=900.0, trigger=lambda c: True, on_fire=lambda c: None, seq=0)
-    for r in records:
-        ctx.messages.append(r)
-        ctx.evidence.append(f"{r.source_ip}:{r.source_port} to {r.dest_ip}:{r.dest_port}")
+    ctx = Context(key, ContextSpec(900.0, trigger=lambda c: True, on_fire=lambda c: None))
+    ctx.messages.extend(records)
     return ctx
 
 
@@ -58,28 +55,28 @@ def test_local_networks_multiple_nets():
 
 def test_derive_keys_fix_the_right_field():
     vertical, horizontal = derive_keys(make_record(src="5.5.5.10", dst="10.0.0.7", dport=12346))
-    assert vertical == ContextKey(ScanKind.VERTICAL, "5.5.5.10", "10.0.0.7")
-    assert horizontal == ContextKey(ScanKind.HORIZONTAL, "5.5.5.10", 12346)
+    assert vertical == (ScanKind.VERTICAL, "5.5.5.10", "10.0.0.7")
+    assert horizontal == (ScanKind.HORIZONTAL, "5.5.5.10", "12346")
 
 
 def test_context_keys_are_hashable_and_ordered():
-    a = ContextKey(ScanKind.HORIZONTAL, "5.5.5.10", 12346)
-    b = ContextKey(ScanKind.HORIZONTAL, "5.5.5.10", 12346)
+    a = derive_keys(make_record(src="5.5.5.10", dport=12346))[1]
+    b = derive_keys(make_record(src="5.5.5.10", dport=12346))[1]
     assert a == b
     assert len({a, b}) == 1
     keys = sorted(
         [
-            ContextKey(ScanKind.VERTICAL, "5.5.5.10", "10.0.0.7"),
-            ContextKey(ScanKind.HORIZONTAL, "5.5.5.10", 9),
-            ContextKey(ScanKind.HORIZONTAL, "5.5.5.10", 12346),
-            ContextKey(ScanKind.HORIZONTAL, "4.4.4.4", 12346),
+            derive_keys(make_record(src="5.5.5.10", dst="10.0.0.7"))[0],
+            derive_keys(make_record(src="5.5.5.10", dport=9))[1],
+            derive_keys(make_record(src="5.5.5.10", dport=12346))[1],
+            derive_keys(make_record(src="4.4.4.4", dport=12346))[1],
         ]
     )
     # Kind first, then source; the fixed field compares as text.
-    assert [(k.kind.value, k.remote_ip, k.fixed) for k in keys] == [
-        ("horizontal", "4.4.4.4", 12346),
-        ("horizontal", "5.5.5.10", 12346),
-        ("horizontal", "5.5.5.10", 9),
+    assert [(kind.value, remote_ip, fixed) for kind, remote_ip, fixed in keys] == [
+        ("horizontal", "4.4.4.4", "12346"),
+        ("horizontal", "5.5.5.10", "12346"),
+        ("horizontal", "5.5.5.10", "9"),
         ("vertical", "5.5.5.10", "10.0.0.7"),
     ]
 
