@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .ingest import FlowRecord, format_tod
-from .reporting import FwLine, SinkSet, format_fw_line
-from .scanrules import Direction, LocalNetworks, ScanAlert, ScanKind, Watchlist, classify_direction
+from .reporting import FwLine, SinkSet, format_fw_line, format_vuln_alert
+from .scanrules import Direction, LocalNetworks, ScanAlert, ScanKind, VulnAlert, Watchlist, classify_direction
 
 PROGRESS_EVERY = 10000
 
@@ -45,13 +45,6 @@ class BaselineReport:
 
 def _endpoint_line(r: FlowRecord) -> str:
     return f"{r.source_ip}:{r.source_port} -> {r.dest_ip}:{r.dest_port}"
-
-
-def _vuln_line(name: str, r: FlowRecord) -> str:
-    return (
-        f"Potential Vulnerability: {name}.\n"
-        f" {format_tod(r.event_time)}: {_endpoint_line(r)}"
-    )
 
 
 def baseline_scan(
@@ -93,7 +86,7 @@ def baseline_scan(
                 sinks.emit(FwLine(direction, format_fw_line(record, direction, date, tz)))
             entry = watchlist.outgoing.get(record.source_port)
             if entry is not None:
-                vuln_out(_vuln_line(entry.name, record))
+                vuln_out(format_vuln_alert(VulnAlert(entry, record)))
         else:
             report.incoming_count += 1
             if sinks is not None:
@@ -105,7 +98,7 @@ def baseline_scan(
             if pair:
                 entry = watchlist.incoming.get(record.dest_port)
                 if entry is not None:
-                    vuln_out(_vuln_line(entry.name, record))
+                    vuln_out(format_vuln_alert(VulnAlert(entry, record)))
                 if not ongoing:
                     ongoing = True
                     report.portscans += 1

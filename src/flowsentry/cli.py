@@ -114,6 +114,14 @@ def _output_paths(output_dir: str, base: str | None) -> dict[str, str]:
     }
 
 
+def _write_failure_status(sinks: SinkSet) -> int:
+    """Warn on stderr and exit 2 when any output write failed."""
+    if sinks.write_failures:
+        sys.stderr.write(f"warning: {sinks.write_failures} output writes failed; output files are incomplete\n")
+        return 2
+    return 0
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     watchlist, skipped = resolve_watchlist(config)
@@ -146,10 +154,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     print(f"{report.contexts_created} contexts created, {report.contexts_fired} fired")
     print(f"{scans} scan alerts -> {paths['portscans']}")
     print(f"{vulns} vulnerability alerts -> {paths['vulscans']}")
-    if sinks.write_failures:
-        sys.stderr.write(f"warning: {sinks.write_failures} output writes failed; output files are incomplete\n")
-        return 2
-    return 0
+    return _write_failure_status(sinks)
 
 
 def _cmd_follow(args: argparse.Namespace) -> int:
@@ -167,7 +172,7 @@ def _cmd_follow(args: argparse.Namespace) -> int:
             run_follow(args.log, ruleset, sinks=sinks, tick_interval=config.tick_interval)
         except KeyboardInterrupt:
             pass
-    return 0
+    return _write_failure_status(sinks)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

@@ -51,7 +51,12 @@ def match_rule(rule: Rule, record: FlowRecord) -> Bindings | None:
 class ContextSpec:
     """What every context of one rule shares: its timeout, the trigger
     evaluated once at expiry, and the callback that builds the alert when
-    the trigger holds. Build one per rule, not one per context."""
+    the trigger holds. Build one per rule, not one per context.
+
+    The trigger must be a pure function of its context: it is evaluated as
+    the context leaves the store, in deadline order. on_fire runs in key
+    order, after every context due at that instant has been removed.
+    """
 
     timeout_value: float
     trigger: Callable[["Context"], bool]
@@ -187,32 +192,40 @@ class CorrelationEngine:
     def expire_contexts(self, now: float) -> list[Any]:
         """Remove every context whose deadline is <= now, firing triggers.
 
-        All contexts due in one call fire in key order, whatever their
-        deadlines, so runs are reproducible regardless of store internals.
+        Each due context leaves its queue from the front, in deadline order,
+        and its trigger is evaluated as it leaves. Only then, with every due
+        context removed, do the ones whose trigger held fire, in key order
+        whatever their deadlines, so runs are reproducible regardless of
+        store internals.
         """
-        due: list[Context] = []
+        contexts, report = self._contexts, self.report
+        triggered: list[Context] = []
         for queue in self._queues.values():
+            due = 0
             for ctx in queue.values():
                 if ctx.deadline > now:
                     break
-                due.append(ctx)
+                due += 1
+            if not due:
+                continue
+            report.contexts_expired += due
+            popitem = queue.popitem
+            for _ in range(due):
+                key, ctx = popitem(last=False)
+                del contexts[key]
+                if ctx.spec.trigger(ctx):
+                    triggered.append(ctx)
         fired: list[Any] = []
-        if not due:
+        if not triggered:
             return fired
-        if len(due) > 1:
-            due.sort(key=_context_key)
-        contexts, queues, report = self._contexts, self._queues, self.report
-        for ctx in due:
-            spec = ctx.spec
-            del contexts[ctx.key]
-            del queues[spec.timeout_value][ctx.key]
-            report.contexts_expired += 1
-            if spec.trigger(ctx):
-                report.contexts_fired += 1
-                alert = spec.on_fire(ctx)
-                if alert is not None:
-                    fired.append(alert)
-                    self.emit(alert)
+        if len(triggered) > 1:
+            triggered.sort(key=_context_key)
+        report.contexts_fired += len(triggered)
+        for ctx in triggered:
+            alert = ctx.spec.on_fire(ctx)
+            if alert is not None:
+                fired.append(alert)
+                self.emit(alert)
         return fired
 
     def advance(self, now: float) -> list[Any]:
@@ -269,24 +282,27 @@ def run_follow(
     stats = IngestStats()
     reader = TailReader(source)
     last_tick = now_fn()
-    while stop is None or not stop():
-        items = reader.poll()
-        for item in items:
-            if isinstance(item, StreamReset):
-                continue
-            stats.lines_read += 1
-            try:
-                record = parse_line(item[1])
-            except ParseError:
-                stats.parse_failures += 1
-                continue
-            stats.records_parsed += 1
-            engine.process(record, now=now_fn())
-        now = now_fn()
-        if not items:
-            time.sleep(min(poll_interval, tick_interval))
+    try:
+        while stop is None or not stop():
+            items = reader.poll()
+            for item in items:
+                if isinstance(item, StreamReset):
+                    continue
+                stats.lines_read += 1
+                try:
+                    record = parse_line(item[1])
+                except ParseError:
+                    stats.parse_failures += 1
+                    continue
+                stats.records_parsed += 1
+                engine.process(record, now=now_fn())
             now = now_fn()
-        if now - last_tick >= tick_interval:
-            engine.advance(now)
-            last_tick = now
+            if not items:
+                time.sleep(min(poll_interval, tick_interval))
+                now = now_fn()
+            if now - last_tick >= tick_interval:
+                engine.advance(now)
+                last_tick = now
+    finally:
+        reader.close()
     return engine.report, stats

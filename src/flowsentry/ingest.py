@@ -8,7 +8,8 @@ import re
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from functools import cache
+from typing import BinaryIO, Callable, Iterator
 
 logger = logging.getLogger(__name__)
 
@@ -97,7 +98,11 @@ class StreamReset:
     line_number: int
 
 
+@cache
 def format_tod(seconds: int) -> str:
+    """HH:MM:SS for a second of the day. Cached: parsed records carry a
+    time of day, so the cache holds at most 86,400 strings (about 10 MB
+    when a stream covers every second of a day)."""
     h, rest = divmod(seconds, 3600)
     m, s = divmod(rest, 60)
     return f"{h:02d}:{m:02d}:{s:02d}"
@@ -116,16 +121,10 @@ def _violation_offset(line: str) -> tuple[int, str]:
 _PROTOCOLS = {member.value: member for member in Protocol}
 
 
-def _ipv4_ok(text: str) -> bool:
-    # The grammar already limits text to digits and dots, so each piece is
-    # either empty or a plain decimal number.
-    parts = text.split(".")
-    if len(parts) != 4:
-        return False
-    for p in parts:
-        if not p or (len(p) > 2 and int(p) > 255):
-            return False
-    return True
+# A dotted quad: four non-empty decimal parts, each at most 255 once its
+# leading zeros are stripped ("0255" passes, "256" and "999" do not).
+_OCTET = r"0*(?:[0-9]{1,2}|1[0-9]{2}|2[0-4][0-9]|25[0-5])"
+_ipv4_match = re.compile(rf"(?:{_OCTET}\.){{3}}{_OCTET}").fullmatch
 
 
 def parse_line(line: str) -> FlowRecord:
@@ -135,32 +134,30 @@ def parse_line(line: str) -> FlowRecord:
     if m is None:
         offset, reason = _violation_offset(line)
         raise ParseError(offset, reason)
-    g = m.group
-    source_ip = g(7)
-    if not _ipv4_ok(source_ip):
+    raw_1, raw_2, hours, minutes, seconds, protocol, source_ip, source_token, dest_ip, dest_token, raw_8, packets = (
+        m.groups()
+    )
+    if _ipv4_match(source_ip) is None:
         raise ParseError(m.start(7), "source address is not a dotted-quad IPv4 address")
-    dest_ip = g(9)
-    if not _ipv4_ok(dest_ip):
+    if _ipv4_match(dest_ip) is None:
         raise ParseError(m.start(9), "destination address is not a dotted-quad IPv4 address")
-    token = g(8)
-    source_port = 0 if token == "--" else int(token)
+    source_port = 0 if source_token == "--" else int(source_token)
     if source_port > 65535:
         raise ParseError(m.start(8), "source port out of range")
-    token = g(10)
-    dest_port = 0 if token == "--" else int(token)
+    dest_port = 0 if dest_token == "--" else int(dest_token)
     if dest_port > 65535:
         raise ParseError(m.start(10), "destination port out of range")
     return FlowRecord(
-        int(g(1)),
-        int(g(2)),
-        (int(g(3)) * 3600 + int(g(4)) * 60 + int(g(5))) % 86400,
-        _PROTOCOLS[g(6)],
+        int(raw_1),
+        int(raw_2),
+        (int(hours) * 3600 + int(minutes) * 60 + int(seconds)) % 86400,
+        _PROTOCOLS[protocol],
         source_ip,
         source_port,
         dest_ip,
         dest_port,
-        int(g(11)),
-        int(g(12)),
+        int(raw_8),
+        int(packets),
     )
 
 
@@ -187,11 +184,13 @@ class TailReader:
 
     poll() returns complete lines that arrived since the last call, as
     (line_number, text) pairs, reading at most READ_CHUNK_BYTES per call.
-    Truncation, or a different file under the path (a rename-and-recreate
-    rotation, seen as a new device and inode), shows up as a StreamReset
-    item, and reading restarts from the top of the file. While the path is
-    missing, between a rotation's rename and re-create, poll() returns
-    nothing.
+    The file stays open between polls. Truncation, or a different file
+    under the path (a rename-and-recreate rotation, seen as a new device
+    and inode), shows up as a StreamReset item, and reading restarts from
+    the top of the file; on a rotation the old file is first read to its
+    end, so lines written to it before the rename are kept. While the path
+    is missing, between a rotation's rename and re-create, poll() reads
+    only what the old file still gains.
     """
 
     def __init__(self, path: str):
@@ -200,34 +199,57 @@ class TailReader:
         self._buf = b""
         self._line_no = 0
         # Fail fast on unreadable paths.
-        with open(path, "rb") as handle:
-            st = os.fstat(handle.fileno())
-        self._file_id = (st.st_dev, st.st_ino)
+        self._handle = open(path, "rb")
+        self._file_id = self._id_of(self._handle)
+
+    @staticmethod
+    def _id_of(handle: BinaryIO) -> tuple[int, int]:
+        st = os.fstat(handle.fileno())
+        return st.st_dev, st.st_ino
+
+    def close(self) -> None:
+        self._handle.close()
 
     def poll(self) -> list[tuple[int, str] | StreamReset]:
         out: list[tuple[int, str] | StreamReset] = []
         try:
-            handle = open(self._path, "rb")
+            st = os.stat(self._path)
         except FileNotFoundError:
-            return out
-        with handle:
-            st = os.fstat(handle.fileno())
-            file_id = (st.st_dev, st.st_ino)
-            if file_id != self._file_id or st.st_size < self._pos:
-                out.append(StreamReset(self._line_no))
-                self._file_id = file_id
-                self._pos = 0
-                self._buf = b""
-            if st.st_size <= self._pos:
+            st = None
+        budget = READ_CHUNK_BYTES
+        if st is not None and (st.st_dev, st.st_ino) != self._file_id:
+            budget -= self._read(out, budget)
+            if budget == 0:
+                return out  # the old file may hold more; drain it first
+            try:
+                handle = open(self._path, "rb")
+            except FileNotFoundError:
                 return out
-            handle.seek(self._pos)
-            chunk = handle.read(READ_CHUNK_BYTES)
+            self._handle.close()
+            self._handle = handle
+            self._file_id = self._id_of(handle)
+            self._restart(out)
+        elif st is not None and st.st_size < self._pos:
+            self._restart(out)
+        self._read(out, budget)
+        return out
+
+    def _restart(self, out: list[tuple[int, str] | StreamReset]) -> None:
+        out.append(StreamReset(self._line_no))
+        self._handle.seek(0)
+        self._pos = 0
+        self._buf = b""
+
+    def _read(self, out: list[tuple[int, str] | StreamReset], budget: int) -> int:
+        chunk = self._handle.read(budget)
+        if not chunk:
+            return 0
         self._pos += len(chunk)
         *complete, self._buf = (self._buf + chunk).split(b"\n")
         for raw in complete:
             self._line_no += 1
             out.append((self._line_no, raw.decode("utf-8", errors="replace").rstrip("\r")))
-        return out
+        return len(chunk)
 
 
 def open_stream(
@@ -250,12 +272,15 @@ def open_stream(
     if mode != "follow":
         raise ValueError(f"unknown mode {mode!r}")
     reader = TailReader(source)
-    while stop is None or not stop():
-        items = reader.poll()
-        if items:
-            yield from items
-        else:
-            time.sleep(poll_interval)
+    try:
+        while stop is None or not stop():
+            items = reader.poll()
+            if items:
+                yield from items
+            else:
+                time.sleep(poll_interval)
+    finally:
+        reader.close()
 
 
 def ingest(

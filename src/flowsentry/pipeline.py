@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 from .config import EngineConfig
 from .engine import Bindings, ContextSpec, CorrelationEngine, Rule, Ruleset
 from .ingest import FlowRecord
@@ -12,7 +14,7 @@ from .scanrules import (
     check_watchlist,
     classify_direction,
     derive_keys,
-    scan_trigger,
+    scan_alert,
     trigger_holds,
 )
 
@@ -38,8 +40,8 @@ def build_scan_ruleset(
     watchlist = watchlist if watchlist is not None else Watchlist()
     spec = ContextSpec(
         timeout_value=config.timeout_value,
-        trigger=lambda ctx: trigger_holds(ctx, policy),
-        on_fire=lambda ctx: scan_trigger(ctx, policy),
+        trigger=partial(trigger_holds, policy=policy),
+        on_fire=scan_alert,
     )
 
     def flow_action(engine: CorrelationEngine, record: FlowRecord, bindings: Bindings) -> None:

@@ -142,11 +142,8 @@ def trigger_holds(ctx: "Context", policy: TriggerPolicy) -> bool:
     return count_distinct_targets(ctx) >= policy.min_messages
 
 
-def scan_trigger(ctx: "Context", policy: TriggerPolicy) -> ScanAlert | None:
-    """Build the alert for an expiring scan context, or None when it stays
-    below the policy threshold (a lone probe never alerts)."""
-    if not trigger_holds(ctx, policy):
-        return None
+def scan_alert(ctx: "Context") -> ScanAlert:
+    """Build the alert for a scan context whose trigger already held."""
     kind, remote_ip, fixed = ctx.key
     messages = ctx.messages
     return ScanAlert(
@@ -158,6 +155,12 @@ def scan_trigger(ctx: "Context", policy: TriggerPolicy) -> ScanAlert | None:
         last_seen=format_tod(messages[-1].event_time),
         distinct_targets=count_distinct_targets(ctx),
     )
+
+
+def scan_trigger(ctx: "Context", policy: TriggerPolicy) -> ScanAlert | None:
+    """Build the alert for an expiring scan context, or None when it stays
+    below the policy threshold (a lone probe never alerts)."""
+    return scan_alert(ctx) if trigger_holds(ctx, policy) else None
 
 
 def load_watchlist(path: str) -> tuple[list[WatchlistEntry], int]:

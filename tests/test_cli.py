@@ -5,6 +5,7 @@ import json
 import pytest
 import yaml
 
+from flowsentry import cli
 from flowsentry.cli import OUTPUT_DIR_ENV, build_parser, run_command
 from flowsentry.generator import GenConfig, ScanSpec, generate
 from flowsentry.reporting import SinkSet
@@ -123,6 +124,33 @@ def test_analyze_reports_sink_write_failures_and_exits_2(tmp_path, capsys, monke
     # The summary still reports the whole run.
     assert "lines read" in captured.out
     assert "1 scan alerts" in captured.out
+
+
+def test_follow_reports_sink_write_failures_and_exits_2(tmp_path, capsys, monkeypatch):
+    real_open = SinkSet.open
+    real_run_follow = cli.run_follow
+
+    def open_with_failing_incoming(self):
+        real_open(self)
+        self._handles["incoming"].close()
+        self._handles["incoming"] = FailingHandle()
+        return self
+
+    def run_follow_once(*args, **kwargs):
+        # One pass of the loop reads the whole log, then it stops.
+        polls = []
+
+        def stop():
+            polls.append(None)
+            return len(polls) > 1
+
+        return real_run_follow(*args, stop=stop, **kwargs)
+
+    monkeypatch.setattr(SinkSet, "open", open_with_failing_incoming)
+    monkeypatch.setattr(cli, "run_follow", run_follow_once)
+    log = write_corpus(tmp_path)
+    assert run_command(["follow", str(log), "--out-dir", str(tmp_path / "out"), "--no-console"]) == 2
+    assert "output writes failed" in capsys.readouterr().err
 
 
 def test_missing_input_exits_2(tmp_path, capsys):

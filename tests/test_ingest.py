@@ -94,6 +94,44 @@ def test_malformed_addresses_are_rejected(addr):
         parse_line(make_line(dst=addr))
 
 
+def _reference_ipv4_ok(text):
+    # The address check as a plain loop: four non-empty parts, each at most
+    # two digits or worth at most 255.
+    parts = text.split(".")
+    if len(parts) != 4:
+        return False
+    for p in parts:
+        if not p or (len(p) > 2 and int(p) > 255):
+            return False
+    return True
+
+
+_octets = st.one_of(
+    st.integers(0, 999).map(str),
+    st.builds(lambda zeros, n: "0" * zeros + str(n), st.integers(1, 3), st.integers(0, 300)),
+    st.just(""),
+)
+_addresses = st.lists(_octets, min_size=3, max_size=5).map(".".join).filter(bool)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_addresses)
+def test_address_check_matches_the_reference(addr):
+    source_prefix = "639,1,14:03:33,TCP,"
+    dest_prefix = "639,1,14:03:33,TCP,5.5.5.10:3434,"
+    for line, offset, which, field in (
+        (make_line(src=addr), len(source_prefix), "source", "source_ip"),
+        (make_line(dst=addr), len(dest_prefix), "destination", "dest_ip"),
+    ):
+        if _reference_ipv4_ok(addr):
+            assert getattr(parse_line(line), field) == addr
+        else:
+            with pytest.raises(ParseError) as err:
+                parse_line(line)
+            assert err.value.offset == offset
+            assert err.value.reason == f"{which} address is not a dotted-quad IPv4 address"
+
+
 def test_port_above_range_offset_points_at_the_port():
     line = make_line(dport="99999")
     with pytest.raises(ParseError) as err:
@@ -199,6 +237,7 @@ def test_tail_reader_returns_only_complete_lines(tmp_path):
         handle.write("\nthree\n")
     assert reader.poll() == [(2, "two"), (3, "three")]
     assert reader.poll() == []
+    reader.close()
 
 
 def test_tail_reader_reports_truncation(tmp_path):
@@ -211,6 +250,7 @@ def test_tail_reader_reports_truncation(tmp_path):
     assert items[0] == StreamReset(2)
     # Reading restarts from the top but line numbers keep climbing.
     assert items[1] == (3, "new")
+    reader.close()
 
 
 def test_tail_reader_follows_rename_and_recreate_rotation(tmp_path):
@@ -224,6 +264,37 @@ def test_tail_reader_follows_rename_and_recreate_rotation(tmp_path):
     path.write_text("new-1\nnew-2\nnew-3\n")
     assert reader.poll() == [StreamReset(2), (3, "new-1"), (4, "new-2"), (5, "new-3")]
     assert reader.poll() == []
+    reader.close()
+
+
+def test_tail_reader_drains_the_old_file_before_a_rotation(tmp_path):
+    path = tmp_path / "flows.log"
+    path.write_text("old-1\n")
+    reader = TailReader(str(path))
+    assert reader.poll() == [(1, "old-1")]
+    with open(path, "a") as handle:
+        handle.write("old-2\n")
+    path.rename(tmp_path / "flows.log.1")
+    path.write_text("new-1\n")
+    assert reader.poll() == [(2, "old-2"), StreamReset(2), (3, "new-1")]
+    assert reader.poll() == []
+    reader.close()
+
+
+def test_tail_reader_drains_a_long_old_file_in_bounded_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys.modules[TailReader.__module__], "READ_CHUNK_BYTES", 8)
+    path = tmp_path / "flows.log"
+    path.write_text("")
+    reader = TailReader(str(path))
+    with open(path, "a") as handle:
+        handle.write("old-1\nold-2\nold-3\n")
+    path.rename(tmp_path / "flows.log.1")
+    path.write_text("new-1\n")
+    collected = []
+    for _ in range(10):
+        collected.extend(reader.poll())
+    assert collected == [(1, "old-1"), (2, "old-2"), (3, "old-3"), StreamReset(3), (4, "new-1")]
+    reader.close()
 
 
 def test_tail_reader_waits_while_the_path_is_missing(tmp_path):
@@ -235,6 +306,7 @@ def test_tail_reader_waits_while_the_path_is_missing(tmp_path):
     assert reader.poll() == []
     path.write_text("new-1\n")
     assert reader.poll() == [StreamReset(1), (2, "new-1")]
+    reader.close()
 
 
 def test_tail_reader_reads_growth_in_bounded_chunks(tmp_path, monkeypatch):
@@ -249,6 +321,7 @@ def test_tail_reader_reads_growth_in_bounded_chunks(tmp_path, monkeypatch):
     for _ in range(20):
         collected.extend(reader.poll())
     assert collected == list(enumerate(lines, 1))
+    reader.close()
 
 
 def test_tail_reader_missing_file_fails_fast(tmp_path):

@@ -1,5 +1,8 @@
 """The assembled detection ruleset, end to end over small record streams."""
 
+import pytest
+
+from flowsentry import pipeline, scanrules
 from flowsentry.config import EngineConfig
 from flowsentry.engine import match_rule, run_engine
 from flowsentry.pipeline import build_scan_ruleset
@@ -103,3 +106,24 @@ def test_emit_traffic_off_suppresses_fw_lines():
     run_engine(slow_probe_records(), build_scan_ruleset(config, default_watchlist(), emit_traffic=False), sinks=sinks)
     assert not [i for i in sinks.items if isinstance(i, FwLine)]
     assert [i for i in sinks.items if isinstance(i, ScanAlert)]
+
+
+@pytest.mark.parametrize("mode", ["min_messages", "distinct_targets"])
+def test_trigger_runs_once_per_expired_context(monkeypatch, mode):
+    calls = []
+    real_trigger_holds = scanrules.trigger_holds
+
+    def counting_trigger_holds(ctx, policy):
+        calls.append(ctx)
+        return real_trigger_holds(ctx, policy)
+
+    monkeypatch.setattr(scanrules, "trigger_holds", counting_trigger_holds)
+    monkeypatch.setattr(pipeline, "trigger_holds", counting_trigger_holds)
+    vertical = [make_record(time=f"15:00:{i:02d}", src="6.6.6.6", dport=7000 + i) for i in range(3)]
+    lone = [make_record(time="15:10:00", src="7.7.7.7")]
+    config = EngineConfig(timeout_value=900.0, trigger_policy=mode, min_messages=2, date="2004/11/05")
+    report = run_engine(slow_probe_records() + vertical + lone, build_scan_ruleset(config, default_watchlist()))
+    # Both scans fire; the one-probe contexts expire quietly.
+    assert report.contexts_fired == 2
+    assert report.contexts_expired > report.contexts_fired
+    assert len(calls) == report.contexts_expired
