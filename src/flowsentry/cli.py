@@ -9,8 +9,6 @@ import os
 import sys
 from typing import Any
 
-import yaml
-
 from .baseline import baseline_scan, compare_reports
 from .bench import measure_throughput
 from .config import ConfigError, EngineConfig, load_config, merge_overrides, resolve_watchlist
@@ -180,6 +178,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         gen_config = preset(args.genconfig)
         stem = args.genconfig
     else:
+        import yaml  # imported here so commands that parse no YAML skip it
+
         with open(args.genconfig, "r") as handle:
             try:
                 data = yaml.safe_load(handle)

@@ -8,8 +8,6 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-import yaml
-
 from .scanrules import LocalNetworks, TriggerPolicy, Watchlist, WatchlistEntry, load_watchlist
 
 DEFAULT_LOCAL_NETS = ("10.0.0.0/8",)
@@ -86,6 +84,8 @@ def config_from_dict(data: dict[str, Any]) -> EngineConfig:
 
 def load_config(path: str) -> EngineConfig:
     """Read a YAML mapping of EngineConfig fields."""
+    import yaml  # imported here so runs without a config file skip it
+
     with open(path, "r") as handle:
         try:
             data = yaml.safe_load(handle)

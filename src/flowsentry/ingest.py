@@ -9,51 +9,68 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from typing import BinaryIO, Callable, Iterator
+from typing import BinaryIO, Callable, Iterator, NamedTuple
 
 logger = logging.getLogger(__name__)
-
-# The line grammar, with one capture per field (the time split into its
-# components). Field 8 is validated but carries no meaning for detection;
-# it is kept on the record so lines can be reproduced verbatim.
-_PARSE_RE = re.compile(
-    r"([0-9]+),([0-9]+),([0-9]+):([0-9]+):([0-9]+),(TCP|UDP|ICMP),"
-    r"([0-9.]+):([0-9]+|--),([0-9.]+):([0-9]+|--),([0-9]+),([0-9]+)"
-)
-
-# Per-token scan of the grammar, used only to locate the first offending
-# byte once the fast path has failed.
-_STEPS: list[tuple[re.Pattern[str], str]] = [
-    (re.compile(r"[0-9]+"), "first numeric field"),
-    (re.compile(r","), "comma"),
-    (re.compile(r"[0-9]+"), "second numeric field"),
-    (re.compile(r","), "comma"),
-    (re.compile(r"[0-9]+"), "hours"),
-    (re.compile(r":"), "colon"),
-    (re.compile(r"[0-9]+"), "minutes"),
-    (re.compile(r":"), "colon"),
-    (re.compile(r"[0-9]+"), "seconds"),
-    (re.compile(r","), "comma"),
-    (re.compile(r"TCP|UDP|ICMP"), "protocol"),
-    (re.compile(r","), "comma"),
-    (re.compile(r"[0-9.]+"), "source address"),
-    (re.compile(r":"), "colon"),
-    (re.compile(r"[0-9]+|--"), "source port"),
-    (re.compile(r","), "comma"),
-    (re.compile(r"[0-9.]+"), "destination address"),
-    (re.compile(r":"), "colon"),
-    (re.compile(r"[0-9]+|--"), "destination port"),
-    (re.compile(r","), "comma"),
-    (re.compile(r"[0-9]+"), "eighth numeric field"),
-    (re.compile(r","), "comma"),
-    (re.compile(r"[0-9]+"), "packet count"),
-]
 
 
 class Protocol(str, Enum):
     TCP = "TCP"
     UDP = "UDP"
     ICMP = "ICMP"
+
+
+# A dotted quad: four non-empty decimal parts, each at most 255 once its
+# leading zeros are stripped ("0255" passes, "256" and "999" do not). The
+# three-digit forms are tried first, as most parts of an address have three
+# digits, and the four parts are spelled out: `re` runs a repeated group
+# with alternatives more slowly.
+_OCTET = r"0*(?:25[0-5]|2[0-4][0-9]|1[0-9]{2}|[0-9]{1,2})"
+_IPV4 = r"\.".join([_OCTET] * 4)
+_ipv4_match = re.compile(_IPV4).fullmatch
+
+# The line grammar, the one place it is spelled: each field's name, its
+# pattern and the separator that follows it. Field 8 is validated but
+# carries no meaning for detection; it is kept on the record so lines can
+# be reproduced verbatim.
+_GRAMMAR = (
+    ("first numeric field", r"[0-9]+", ","),
+    ("second numeric field", r"[0-9]+", ","),
+    ("hours", r"[0-9]+", ":"),
+    ("minutes", r"[0-9]+", ":"),
+    ("seconds", r"[0-9]+", ","),
+    ("protocol", "|".join(member.value for member in Protocol), ","),
+    ("source address", _IPV4, ":"),
+    ("source port", r"[0-9]+|--", ","),
+    ("destination address", _IPV4, ":"),
+    ("destination port", r"[0-9]+|--", ","),
+    ("eighth numeric field", r"[0-9]+", ","),
+    ("packet count", r"[0-9]+", ""),
+)
+_SEPARATOR_NAMES = {",": "comma", ":": "colon"}
+
+# The whole grammar as one pattern with one capture per field, for lines
+# that parse.
+_LINE_MATCH = re.compile("".join(f"({pattern}){re.escape(sep)}" for _, pattern, sep in _GRAMMAR)).fullmatch
+
+# The grammar one token at a time, used only to locate the first offending
+# byte once the whole-line match has failed. An address is scanned as any
+# run of digits and dots, so a later grammar fault is reported ahead of a
+# bad address; the address itself is checked when the rest of the line
+# holds.
+_ADDRESS_TOKEN = re.compile(r"[0-9.]+")
+
+
+def _token_steps() -> list[tuple[re.Pattern[str], str]]:
+    steps = []
+    for what, pattern, sep in _GRAMMAR:
+        steps.append((_ADDRESS_TOKEN if pattern == _IPV4 else re.compile(pattern), what))
+        if sep:
+            steps.append((re.compile(re.escape(sep)), _SEPARATOR_NAMES[sep]))
+    return steps
+
+
+_STEPS = _token_steps()
 
 
 class ParseError(ValueError):
@@ -66,10 +83,10 @@ class ParseError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True, slots=True)
-class FlowRecord:
-    """One parsed log line. event_time is seconds of day; a port of 0 means
-    the source token was '--' (portless, e.g. ICMP)."""
+class FlowRecord(NamedTuple):
+    """One parsed log line, an immutable named tuple with its fields in line
+    order. event_time is seconds of day; a port of 0 means the source token
+    was '--' (portless, e.g. ICMP)."""
 
     raw_field_1: int
     raw_field_2: int
@@ -109,38 +126,40 @@ def format_tod(seconds: int) -> str:
 
 
 def _violation_offset(line: str) -> tuple[int, str]:
+    """Offset and reason of the first violation in a line the whole-line
+    match rejected: the first token out of place, else trailing text, else
+    the first address that is not a dotted quad, source before
+    destination."""
     pos = 0
+    bad_address = None
     for pattern, what in _STEPS:
         m = pattern.match(line, pos)
         if m is None:
             return pos, f"expected {what}"
+        if bad_address is None and pattern is _ADDRESS_TOKEN and _ipv4_match(m[0]) is None:
+            bad_address = pos, f"{what} is not a dotted-quad IPv4 address"
         pos = m.end()
+    if bad_address is not None and pos == len(line):
+        return bad_address
     return pos, "unexpected trailing text"
 
 
 _PROTOCOLS = {member.value: member for member in Protocol}
-
-
-# A dotted quad: four non-empty decimal parts, each at most 255 once its
-# leading zeros are stripped ("0255" passes, "256" and "999" do not).
-_OCTET = r"0*(?:[0-9]{1,2}|1[0-9]{2}|2[0-4][0-9]|25[0-5])"
-_ipv4_match = re.compile(rf"(?:{_OCTET}\.){{3}}{_OCTET}").fullmatch
+# Protocol text by member: a dict lookup costs a fraction of the Enum
+# `.value` property on the per-line formatting paths.
+PROTOCOL_TEXT = {member: member.value for member in Protocol}
 
 
 def parse_line(line: str) -> FlowRecord:
     """Parse one log line. Raises ParseError (with the offset of the first
     grammar violation) on anything else; never raises anything different."""
-    m = _PARSE_RE.fullmatch(line)
+    m = _LINE_MATCH(line)
     if m is None:
         offset, reason = _violation_offset(line)
         raise ParseError(offset, reason)
     raw_1, raw_2, hours, minutes, seconds, protocol, source_ip, source_token, dest_ip, dest_token, raw_8, packets = (
         m.groups()
     )
-    if _ipv4_match(source_ip) is None:
-        raise ParseError(m.start(7), "source address is not a dotted-quad IPv4 address")
-    if _ipv4_match(dest_ip) is None:
-        raise ParseError(m.start(9), "destination address is not a dotted-quad IPv4 address")
     source_port = 0 if source_token == "--" else int(source_token)
     if source_port > 65535:
         raise ParseError(m.start(8), "source port out of range")
@@ -169,7 +188,7 @@ def format_line(record: FlowRecord) -> str:
     """Inverse of parse_line for records with normalized fields."""
     return (
         f"{record.raw_field_1},{record.raw_field_2},{format_tod(record.event_time)},"
-        f"{record.protocol.value},{record.source_ip}:{_port_token(record.source_port)},"
+        f"{PROTOCOL_TEXT[record.protocol]},{record.source_ip}:{_port_token(record.source_port)},"
         f"{record.dest_ip}:{_port_token(record.dest_port)},{record.raw_field_8},{record.packets}"
     )
 
@@ -188,9 +207,10 @@ class TailReader:
     under the path (a rename-and-recreate rotation, seen as a new device
     and inode), shows up as a StreamReset item, and reading restarts from
     the top of the file; on a rotation the old file is first read to its
-    end, so lines written to it before the rename are kept. While the path
-    is missing, between a rotation's rename and re-create, poll() reads
-    only what the old file still gains.
+    end, so lines written to it before the rename are kept, the last one
+    too when it has no newline. While the path is missing, between a
+    rotation's rename and re-create, poll() reads only what the old file
+    still gains.
     """
 
     def __init__(self, path: str):
@@ -228,6 +248,10 @@ class TailReader:
             self._handle.close()
             self._handle = handle
             self._file_id = self._id_of(handle)
+            if self._buf:
+                # The old file is read to its end: its last line is complete
+                # even without a newline, as it is in batch mode.
+                self._emit(out, self._buf)
             self._restart(out)
         elif st is not None and st.st_size < self._pos:
             self._restart(out)
@@ -247,9 +271,12 @@ class TailReader:
         self._pos += len(chunk)
         *complete, self._buf = (self._buf + chunk).split(b"\n")
         for raw in complete:
-            self._line_no += 1
-            out.append((self._line_no, raw.decode("utf-8", errors="replace").rstrip("\r")))
+            self._emit(out, raw)
         return len(chunk)
+
+    def _emit(self, out: list[tuple[int, str] | StreamReset], raw: bytes) -> None:
+        self._line_no += 1
+        out.append((self._line_no, raw.decode("utf-8", errors="replace").rstrip("\r")))
 
 
 def open_stream(

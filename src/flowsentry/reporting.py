@@ -4,16 +4,13 @@ vulnerability files, and the console."""
 from __future__ import annotations
 
 import sys
-import threading
-from dataclasses import dataclass
-from typing import IO, Any
+from typing import IO, Any, NamedTuple
 
-from .ingest import FlowRecord, format_tod
+from .ingest import PROTOCOL_TEXT, FlowRecord, format_tod
 from .scanrules import Direction, ScanAlert, ScanKind, VulnAlert
 
 
-@dataclass(frozen=True, slots=True)
-class FwLine:
+class FwLine(NamedTuple):
     direction: Direction
     text: str
 
@@ -24,7 +21,7 @@ def format_fw_line(record: FlowRecord, direction: Direction, date: str, tz: str)
     return (
         f"{tag},{date},{format_tod(record.event_time)} {tz} GMT,"
         f"{record.source_ip}:{record.source_port},"
-        f"{record.dest_ip}:{record.dest_port},{record.protocol.value}"
+        f"{record.dest_ip}:{record.dest_port},{PROTOCOL_TEXT[record.protocol]}"
     )
 
 
@@ -44,8 +41,8 @@ def format_vuln_alert(alert: VulnAlert) -> str:
 
 class SinkSet:
     """Where engine output goes. Any path may be None (that stream is
-    dropped); console echoes scan alerts to stdout. Writes are serialized
-    so concurrent producers cannot interleave partial lines.
+    dropped); console echoes scan alerts to stdout. A SinkSet has one
+    producer: every write comes from the thread that runs the engine.
     """
 
     def __init__(
@@ -62,7 +59,6 @@ class SinkSet:
         self.vulscans_path = vulscans_path
         self.console = console
         self.write_failures = 0
-        self._lock = threading.Lock()
         self._handles: dict[str, IO[str]] = {}
         self._open = False
 
@@ -103,29 +99,20 @@ class SinkSet:
             self.write_failures += 1
 
     def write_portscans(self, text: str) -> None:
-        with self._lock:
-            self._write("portscans", text + "\n", flush=True)
+        self._write("portscans", text + "\n", flush=True)
 
     def write_vulscans(self, text: str) -> None:
-        with self._lock:
-            self._write("vulscans", text + "\n", flush=True)
+        self._write("vulscans", text + "\n", flush=True)
 
     def emit(self, item: Any) -> None:
         """Route one alert or traffic line to its destinations, in call order."""
         if isinstance(item, FwLine):
-            # One per record; skip the lock when the stream is dropped.
-            name = "outgoing" if item.direction is Direction.OUTGOING else "incoming"
-            if name not in self._handles:
-                return
-            with self._lock:
-                self._write(name, item.text + "\n")
-            return
-        with self._lock:
-            if isinstance(item, ScanAlert):
-                block = format_scan_alert(item)
-                self._write("portscans", block + "\n", flush=True)
-                if self.console:
-                    sys.stdout.write(block + "\n")
-                    sys.stdout.flush()
-            elif isinstance(item, VulnAlert):
-                self._write("vulscans", format_vuln_alert(item) + "\n", flush=True)
+            self._write("outgoing" if item.direction is Direction.OUTGOING else "incoming", item.text + "\n")
+        elif isinstance(item, ScanAlert):
+            block = format_scan_alert(item)
+            self._write("portscans", block + "\n", flush=True)
+            if self.console:
+                sys.stdout.write(block + "\n")
+                sys.stdout.flush()
+        elif isinstance(item, VulnAlert):
+            self._write("vulscans", format_vuln_alert(item) + "\n", flush=True)

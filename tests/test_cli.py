@@ -1,6 +1,9 @@
 """Command line behavior: exit codes, output files, and option precedence."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -17,6 +20,13 @@ from conftest import make_line, slow_probe_lines
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+
+
+def test_importing_the_cli_leaves_yaml_unloaded():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, flowsentry.cli; sys.exit('yaml' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert result.returncode == 0
 
 
 def corpus_config(adjacency="interleaved"):

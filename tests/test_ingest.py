@@ -187,6 +187,27 @@ def test_parse_inverts_format(raw1, raw2, event_time, protocol, src, sport, dst,
     assert parse_line(format_line(record)) == record
 
 
+def test_flow_record_is_an_immutable_hashable_value():
+    record = make_record()
+    with pytest.raises(AttributeError):
+        record.source_port = 1
+    twin = FlowRecord(
+        raw_field_1=639,
+        raw_field_2=1,
+        event_time=tod("14:03:33"),
+        protocol=Protocol.TCP,
+        source_ip="5.5.5.10",
+        source_port=3434,
+        dest_ip="10.0.0.7",
+        dest_port=12346,
+        raw_field_8=1,
+        packets=2,
+    )
+    assert twin == record
+    assert hash(twin) == hash(record)
+    assert parse_line(format_line(record)) == record
+
+
 def test_ingest_counts_are_exact(tmp_path):
     path = tmp_path / "flows.log"
     lines = [make_line(), "not a flow line", make_line(time="14:05:00"), "", make_line(dport="99999")]
@@ -277,6 +298,18 @@ def test_tail_reader_drains_the_old_file_before_a_rotation(tmp_path):
     path.rename(tmp_path / "flows.log.1")
     path.write_text("new-1\n")
     assert reader.poll() == [(2, "old-2"), StreamReset(2), (3, "new-1")]
+    assert reader.poll() == []
+    reader.close()
+
+
+def test_tail_reader_keeps_an_unterminated_last_line_of_a_rotated_file(tmp_path):
+    path = tmp_path / "flows.log"
+    path.write_text("old-1\nold-tail")
+    reader = TailReader(str(path))
+    assert reader.poll() == [(1, "old-1")]
+    path.rename(tmp_path / "flows.log.1")
+    path.write_text("new-1\n")
+    assert reader.poll() == [(2, "old-tail"), StreamReset(2), (3, "new-1")]
     assert reader.poll() == []
     reader.close()
 
