@@ -1,7 +1,7 @@
 """Streaming flow log correlation engine with port scan detection."""
 
 from .ingest import FlowRecord, IngestStats, ParseError, Protocol, StreamReset, format_line, ingest, open_stream, parse_line
-from .engine import AddToExpiredError, Context, ContextSpec, CorrelationEngine, EngineReport, Rule, Ruleset, match_rule, run_engine
+from .engine import AddToExpiredError, Context, ContextSpec, CorrelationEngine, EngineReport, Rule, Ruleset, run_engine
 from .scanrules import (
     Direction,
     ScanAlert,

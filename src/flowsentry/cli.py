@@ -7,14 +7,15 @@ import argparse
 import logging
 import os
 import sys
+from itertools import chain
 from typing import Any
 
 from .baseline import baseline_scan, compare_reports
 from .bench import measure_throughput
 from .config import ConfigError, EngineConfig, load_config, merge_overrides, resolve_watchlist
-from .engine import CorrelationEngine, run_engine, run_follow
+from .engine import run_engine, run_follow
 from .generator import PRESET_NAMES, gen_config_from_dict, generate, ground_truth_to_text, preset
-from .ingest import IngestStats, ingest
+from .ingest import ingest
 from .pipeline import build_scan_ruleset
 from .reporting import SinkSet
 from .scanrules import ScanAlert, VulnAlert
@@ -133,22 +134,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         paths["incoming"], paths["outgoing"], paths["portscans"], paths["vulscans"],
         console=not args.no_console,
     )
-    engine = CorrelationEngine(ruleset, sinks=sinks)
-    total = IngestStats()
+    streams = [ingest(log, "batch") for log in args.logs]
     with sinks:
         # Several logs are one continuous stream: contexts carry across file
         # boundaries and only the very end flushes.
-        for log in args.logs:
-            records, stats = ingest(log, "batch")
-            for record in records:
-                engine.process(record)
-            total.lines_read += stats.lines_read
-            total.records_parsed += stats.records_parsed
-            total.parse_failures += stats.parse_failures
-        report = engine.finish()
+        report = run_engine(chain.from_iterable(records for records, _ in streams), ruleset, sinks=sinks)
+    per_log = [stats for _, stats in streams]
     scans = sum(isinstance(a, ScanAlert) for a in report.alerts)
     vulns = sum(isinstance(a, VulnAlert) for a in report.alerts)
-    print(f"{total.lines_read} lines read, {total.records_parsed} parsed, {total.parse_failures} malformed")
+    print(
+        f"{sum(s.lines_read for s in per_log)} lines read, {sum(s.records_parsed for s in per_log)} parsed, "
+        f"{sum(s.parse_failures for s in per_log)} malformed"
+    )
     print(f"{report.contexts_created} contexts created, {report.contexts_fired} fired")
     print(f"{scans} scan alerts -> {paths['portscans']}")
     print(f"{vulns} vulnerability alerts -> {paths['vulscans']}")
@@ -180,7 +177,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     else:
         import yaml  # imported here so commands that parse no YAML skip it
 
-        with open(args.genconfig, "r") as handle:
+        with open(args.genconfig, "r", encoding="utf-8") as handle:
             try:
                 data = yaml.safe_load(handle)
             except yaml.YAMLError as exc:
@@ -189,11 +186,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         stem = os.path.splitext(os.path.basename(args.genconfig))[0]
     out_path = args.output or f"{stem}.log"
     lines, truth = generate(gen_config)
-    with open(out_path, "w") as handle:
+    with open(out_path, "w", encoding="utf-8") as handle:
         for line in lines:
             handle.write(line + "\n")
     truth_path = out_path + ".truth"
-    with open(truth_path, "w") as handle:
+    with open(truth_path, "w", encoding="utf-8") as handle:
         handle.write(ground_truth_to_text(truth))
     print(f"wrote {len(lines)} lines to {out_path}, {len(truth.scans)} scans in {truth_path}")
     return 0

@@ -86,7 +86,7 @@ def load_config(path: str) -> EngineConfig:
     """Read a YAML mapping of EngineConfig fields."""
     import yaml  # imported here so runs without a config file skip it
 
-    with open(path, "r") as handle:
+    with open(path, "r", encoding="utf-8") as handle:
         try:
             data = yaml.safe_load(handle)
         except yaml.YAMLError as exc:

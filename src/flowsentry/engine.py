@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Callable, Iterable
 
-from .ingest import FlowRecord, IngestStats, StreamReset, TailReader, parse_line, ParseError
+from .ingest import FlowRecord, IngestStats, ingest
 
 Bindings = dict[str, str]
 Matcher = Callable[[FlowRecord], "Bindings | None"]
@@ -40,11 +40,6 @@ class Ruleset:
 
     def __iter__(self):
         return iter(self.rules)
-
-
-def match_rule(rule: Rule, record: FlowRecord) -> Bindings | None:
-    """Evaluate a rule's matcher. None means no match."""
-    return rule.matcher(record)
 
 
 @dataclass(frozen=True)
@@ -279,30 +274,19 @@ def run_follow(
     end-of-stream flush; the loop just stops when stop() turns true.
     """
     engine = CorrelationEngine(ruleset, clock=WallClock(now_fn), sinks=sinks)
-    stats = IngestStats()
-    reader = TailReader(source)
     last_tick = now_fn()
-    try:
-        while stop is None or not stop():
-            items = reader.poll()
-            for item in items:
-                if isinstance(item, StreamReset):
-                    continue
-                stats.lines_read += 1
-                try:
-                    record = parse_line(item[1])
-                except ParseError:
-                    stats.parse_failures += 1
-                    continue
-                stats.records_parsed += 1
-                engine.process(record, now=now_fn())
-            now = now_fn()
-            if not items:
-                time.sleep(min(poll_interval, tick_interval))
-                now = now_fn()
-            if now - last_tick >= tick_interval:
-                engine.advance(now)
-                last_tick = now
-    finally:
-        reader.close()
+
+    def tick_then_stop() -> bool:
+        # open_stream calls this before every poll: after a poll's records
+        # are processed, and after an idle sleep.
+        nonlocal last_tick
+        now = now_fn()
+        if now - last_tick >= tick_interval:
+            engine.advance(now)
+            last_tick = now
+        return stop is not None and stop()
+
+    records, stats = ingest(source, "follow", poll_interval=min(poll_interval, tick_interval), stop=tick_then_stop)
+    for record in records:
+        engine.process(record)
     return engine.report, stats

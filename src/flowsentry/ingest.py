@@ -288,11 +288,20 @@ def open_stream(
 ) -> Iterator[tuple[int, str] | StreamReset]:
     """Yield (line_number, text) items from a log file.
 
+    Both modes split a file into the same lines: a line ends only at a
+    newline byte (or, in batch mode, at the end of the file), trailing
+    carriage returns are dropped, and text is decoded as UTF-8 with
+    undecodable bytes replaced.
+
     Batch mode reads to EOF and stops. Follow mode keeps polling for growth
-    until stop() turns true, reporting truncation as a StreamReset item.
+    until stop() turns true, reporting truncation and rotation as a
+    StreamReset item. stop() is called once before every poll: first before
+    the first poll, then after the consumer has taken a poll's items, or
+    after the idle sleep when a poll found nothing. A caller may do periodic
+    work inside it.
     """
     if mode == "batch":
-        with open(source, "r", errors="replace") as handle:
+        with open(source, "r", encoding="utf-8", errors="replace", newline="\n") as handle:
             for number, raw in enumerate(handle, 1):
                 yield number, raw.rstrip("\r\n")
         return

@@ -71,7 +71,7 @@ class SinkSet:
             for name in ("incoming", "outgoing", "portscans", "vulscans"):
                 path = getattr(self, f"{name}_path")
                 if path is not None:
-                    self._handles[name] = open(path, "w")
+                    self._handles[name] = open(path, "w", encoding="utf-8")
             self._open = True
         return self
 

@@ -168,7 +168,7 @@ def load_watchlist(path: str) -> tuple[list[WatchlistEntry], int]:
     skipped; the second return value counts them."""
     entries: list[WatchlistEntry] = []
     skipped = 0
-    with open(path, "r", errors="replace") as handle:
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
         for raw in handle:
             line = raw.rstrip("\n").rstrip("\r")
             if not line:

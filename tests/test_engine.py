@@ -1,5 +1,6 @@
 """Context lifecycle, clocks, and the record-driven engine loop."""
 
+import logging
 import threading
 import time
 
@@ -14,7 +15,6 @@ from flowsentry.engine import (
     Rule,
     Ruleset,
     WallClock,
-    match_rule,
     run_engine,
     run_follow,
 )
@@ -49,9 +49,19 @@ class SpySinks:
 
 
 def test_match_rule_returns_bindings_or_none():
-    rule = Rule("tcp-only", lambda r: {"proto": r.protocol.value} if r.protocol is Protocol.TCP else None, [])
-    assert match_rule(rule, make_record()) == {"proto": "TCP"}
-    assert match_rule(rule, make_record(protocol=Protocol.UDP)) is None
+    seen = []
+    rule = Rule(
+        "tcp-only",
+        lambda r: {"proto": r.protocol.value} if r.protocol is Protocol.TCP else None,
+        [lambda engine, record, bindings: seen.append(bindings)],
+    )
+    assert rule.matcher(make_record()) == {"proto": "TCP"}
+    assert rule.matcher(make_record(protocol=Protocol.UDP)) is None
+    # None means no match: the engine runs the rule's actions only on a match.
+    engine = CorrelationEngine(Ruleset([rule]))
+    engine.process(make_record())
+    engine.process(make_record(protocol=Protocol.UDP))
+    assert seen == [{"proto": "TCP"}]
 
 
 def test_deadline_is_message_time_plus_timeout():
@@ -333,3 +343,22 @@ def test_follow_never_flushes_on_stop(tmp_path):
     assert report.contexts_created == 1
     assert report.contexts_expired == 0
     assert report.alerts == []
+
+
+def test_follow_logs_truncation_and_reads_from_the_top(tmp_path, caplog):
+    path = tmp_path / "live.log"
+    path.write_text(make_line() + "\n" + make_line(time="14:03:34") + "\n")
+    calls = []
+
+    def stop():
+        # Called before every poll: the file shrinks between the first two.
+        calls.append(None)
+        if len(calls) == 2:
+            path.write_text(make_line(src="6.6.6.6") + "\n")
+        return len(calls) > 2
+
+    with caplog.at_level(logging.WARNING):
+        report, stats = run_follow(str(path), Ruleset([count_rule(timeout=60.0)]), poll_interval=0.01, stop=stop)
+    assert "was truncated or replaced; following from the top" in caplog.text
+    assert stats.records_parsed == 3
+    assert report.contexts_created == 2

@@ -5,7 +5,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from flowsentry.ingest import (
     FlowRecord,
@@ -236,10 +236,33 @@ def test_ingest_missing_file_raises_up_front(tmp_path):
         next(records)
 
 
+def _follow_one_poll(path):
+    """The items of a single follow-mode poll of the file."""
+    return list(open_stream(str(path), "follow", stop=iter((False, True)).__next__))
+
+
 def test_open_stream_strips_crlf(tmp_path):
+    # Each input must split into the same lines in batch and follow mode.
+    cases = [
+        (b"a,b\r\nc,d\n", [(1, "a,b"), (2, "c,d")]),
+        (b"a\rb\n", [(1, "a\rb")]),
+        (b"c\r\r\nd\n", [(1, "c"), (2, "d")]),
+        (b"bad \xff\xfe byte\n\xe2\x82\n", [(1, "bad \ufffd\ufffd byte"), (2, "\ufffd")]),
+        ("f\x0cg\x1ch\x85i\u2028j\n".encode(), [(1, "f\x0cg\x1ch\x85i\u2028j")]),
+    ]
     path = tmp_path / "flows.log"
-    path.write_bytes(b"a,b\r\nc,d\n")
-    assert list(open_stream(str(path))) == [(1, "a,b"), (2, "c,d")]
+    for data, lines in cases:
+        path.write_bytes(data)
+        assert list(open_stream(str(path))) == lines, data
+        assert _follow_one_poll(path) == lines, data
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.sampled_from([b"a", b"\r", b"\n", b"\xff", b"\xe2\x82", b"\xc2\x85", "\u2028".encode(), b"\x1c"])))
+def test_batch_and_follow_split_any_bytes_alike(tmp_path, pieces):
+    path = tmp_path / "flows.log"
+    path.write_bytes(b"".join(pieces) + b"\n")
+    assert list(open_stream(str(path))) == _follow_one_poll(path)
 
 
 def test_open_stream_rejects_unknown_mode(tmp_path):

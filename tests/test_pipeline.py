@@ -4,7 +4,7 @@ import pytest
 
 from flowsentry import pipeline, scanrules
 from flowsentry.config import EngineConfig
-from flowsentry.engine import match_rule, run_engine
+from flowsentry.engine import run_engine
 from flowsentry.pipeline import build_scan_ruleset
 from flowsentry.reporting import FwLine
 from flowsentry.scanrules import Direction, ScanAlert, ScanKind, VulnAlert, Watchlist, WatchlistEntry, evidence_line
@@ -31,7 +31,7 @@ def test_evidence_line_golden():
 def test_ruleset_rule_matches_every_flow_record():
     ruleset = build_scan_ruleset(EngineConfig(date="2004/11/05"))
     (rule,) = ruleset.rules
-    assert match_rule(rule, make_record()) == {}
+    assert rule.matcher(make_record()) == {}
 
 
 def test_slow_probes_become_one_horizontal_alert():
