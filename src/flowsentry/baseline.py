@@ -62,7 +62,7 @@ def baseline_scan(
     Traffic lines go to sinks when given (they are not kept in the report);
     portscan and vulnerability lines are both kept and written.
     """
-    nets = LocalNetworks.coerce(local_nets)
+    nets = local_nets if isinstance(local_nets, LocalNetworks) else LocalNetworks(local_nets)
     report = BaselineReport()
     prev: FlowRecord | None = None
     ongoing = False

@@ -103,14 +103,12 @@ def _resolve_config(args: argparse.Namespace) -> EngineConfig:
     )
 
 
-def _output_paths(output_dir: str, base: str | None) -> dict[str, str]:
+def _output_sinks(output_dir: str, base: str | None, console: bool = False) -> SinkSet:
     # Batch names carry the input filename; follow mode uses fixed names.
     os.makedirs(output_dir, exist_ok=True)
     suffix = f"_{base}" if base is not None else ""
-    return {
-        name: os.path.join(output_dir, f"{name}{suffix}")
-        for name in ("incoming", "outgoing", "portscans", "vulscans")
-    }
+    paths = (os.path.join(output_dir, f"{name}{suffix}") for name in ("incoming", "outgoing", "portscans", "vulscans"))
+    return SinkSet(*paths, console=console)
 
 
 def _write_failure_status(sinks: SinkSet) -> int:
@@ -129,11 +127,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     ruleset = build_scan_ruleset(config, watchlist)
     for log in args.logs:
         os.stat(log)  # fail before any output file is created
-    paths = _output_paths(config.output_dir, os.path.basename(args.logs[0]))
-    sinks = SinkSet(
-        paths["incoming"], paths["outgoing"], paths["portscans"], paths["vulscans"],
-        console=not args.no_console,
-    )
+    sinks = _output_sinks(config.output_dir, os.path.basename(args.logs[0]), console=not args.no_console)
     streams = [ingest(log, "batch") for log in args.logs]
     with sinks:
         # Several logs are one continuous stream: contexts carry across file
@@ -147,8 +141,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         f"{sum(s.parse_failures for s in per_log)} malformed"
     )
     print(f"{report.contexts_created} contexts created, {report.contexts_fired} fired")
-    print(f"{scans} scan alerts -> {paths['portscans']}")
-    print(f"{vulns} vulnerability alerts -> {paths['vulscans']}")
+    print(f"{scans} scan alerts -> {sinks.portscans_path}")
+    print(f"{vulns} vulnerability alerts -> {sinks.vulscans_path}")
     return _write_failure_status(sinks)
 
 
@@ -157,11 +151,7 @@ def _cmd_follow(args: argparse.Namespace) -> int:
     watchlist, _ = resolve_watchlist(config)
     ruleset = build_scan_ruleset(config, watchlist)
     os.stat(args.log)  # fail before any output file is created
-    paths = _output_paths(config.output_dir, None)
-    sinks = SinkSet(
-        paths["incoming"], paths["outgoing"], paths["portscans"], paths["vulscans"],
-        console=not args.no_console,
-    )
+    sinks = _output_sinks(config.output_dir, None, console=not args.no_console)
     with sinks:
         try:
             run_follow(args.log, ruleset, sinks=sinks, tick_interval=config.tick_interval)
@@ -201,8 +191,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     watchlist, _ = resolve_watchlist(config)
     base = os.path.basename(args.log)
     os.stat(args.log)  # fail before any output file is created
-    paths = _output_paths(config.output_dir, base)
-    sinks = SinkSet(paths["incoming"], paths["outgoing"], paths["portscans"], paths["vulscans"])
+    sinks = _output_sinks(config.output_dir, base)
     records, stats = ingest(args.log, "batch")
     with sinks:
         report = baseline_scan(
@@ -214,8 +203,8 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
             sinks=sinks,
             progress=lambda n: print(f"{base} has {n} lines!"),
         )
-    print(f"{report.portscans} Portscans detected and written to {paths['portscans']}")
-    return 0
+    print(f"{report.portscans} Portscans detected and written to {sinks.portscans_path}")
+    return _write_failure_status(sinks)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -223,7 +212,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     watchlist, _ = resolve_watchlist(config)
     record_iter, _stats = ingest(args.log, "batch")
     records = list(record_iter)
-    engine_report = run_engine(records, build_scan_ruleset(config, watchlist), sinks=SinkSet.null())
+    engine_report = run_engine(records, build_scan_ruleset(config, watchlist))
     baseline_report = baseline_scan(records, watchlist, config.networks(), config.resolved_date(), config.tz)
     for line in compare_reports(engine_report.alerts, baseline_report).summary_lines():
         print(line)

@@ -41,9 +41,10 @@ class EngineConfig:
     tick_interval: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.timeout_value <= 0:
+        # Written so that NaN fails too.
+        if not self.timeout_value > 0:
             raise ConfigError("timeout_value must be positive")
-        if self.tick_interval <= 0:
+        if not self.tick_interval > 0:
             raise ConfigError("tick_interval must be positive")
         if self.date is not None and not _DATE_RE.match(self.date):
             raise ConfigError("date must look like yyyy/mm/dd")

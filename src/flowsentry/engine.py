@@ -12,9 +12,8 @@ from typing import Any, Callable, Iterable
 
 from .ingest import FlowRecord, IngestStats, ingest
 
-Bindings = dict[str, str]
-Matcher = Callable[[FlowRecord], "Bindings | None"]
-Action = Callable[["CorrelationEngine", FlowRecord, Bindings], None]
+Matcher = Callable[[FlowRecord], bool]
+Action = Callable[["CorrelationEngine", FlowRecord], None]
 
 # Seconds of day. A drop of more than half a day between consecutive
 # timestamps is read as a midnight crossing.
@@ -37,9 +36,6 @@ class Rule:
 @dataclass
 class Ruleset:
     rules: list[Rule]
-
-    def __iter__(self):
-        return iter(self.rules)
 
 
 @dataclass(frozen=True)
@@ -110,9 +106,6 @@ class WallClock:
     def __init__(self, now_fn: Callable[[], float] = time.monotonic):
         self._now_fn = now_fn
 
-    def now(self) -> float:
-        return self._now_fn()
-
     def now_for(self, record: FlowRecord) -> float:
         return self._now_fn()
 
@@ -121,8 +114,13 @@ class CorrelationEngine:
     """Drives rules over records and owns the context store.
 
     Per-record order is fixed: advance engine time, expire due contexts,
-    then evaluate rules in ruleset order. Sinks, when attached, receive
-    alerts in the same order they enter the report.
+    then, in ruleset order, run action(engine, record) for each action of
+    every rule whose matcher returns true for the record.
+
+    emit(alert) adds the alert to the report and, when sinks are attached,
+    forwards it to them in the same order. Output that is not an alert,
+    such as traffic lines, an action writes straight to engine.sinks; it is
+    None when the run has no sinks, and then nothing needs formatting.
 
     Engine time never steps back: it starts at 0 and advance() clamps it to
     the highest time seen so far. So within one timeout value, the order in
@@ -150,11 +148,10 @@ class CorrelationEngine:
     def find_context(self, key: Any) -> Context | None:
         return self._contexts.get(key)
 
-    def emit(self, item: Any, *, record: bool = True) -> None:
-        if record:
-            self.report.alerts.append(item)
+    def emit(self, alert: Any) -> None:
+        self.report.alerts.append(alert)
         if self.sinks is not None:
-            self.sinks.emit(item)
+            self.sinks.emit(alert)
 
     def ensure_context(self, key: Any, spec: ContextSpec) -> Context:
         """Return the live context for key, creating it from spec if absent."""
@@ -234,10 +231,9 @@ class CorrelationEngine:
         self.advance(self.clock.now_for(record) if now is None else now)
         self.report.messages_processed += 1
         for rule in self.ruleset.rules:
-            bindings = rule.matcher(record)
-            if bindings is not None:
+            if rule.matcher(record):
                 for action in rule.actions:
-                    action(self, record, bindings)
+                    action(self, record)
 
     def finish(self) -> EngineReport:
         """End of stream: expire everything still pending, triggers included."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import partial
 
 from .config import EngineConfig
-from .engine import Bindings, ContextSpec, CorrelationEngine, Rule, Ruleset
+from .engine import ContextSpec, CorrelationEngine, Rule, Ruleset
 from .ingest import FlowRecord
 from .reporting import FwLine, format_fw_line
 from .scanrules import (
@@ -19,15 +19,11 @@ from .scanrules import (
 )
 
 
-def build_scan_ruleset(
-    config: EngineConfig,
-    watchlist: Watchlist | None = None,
-    *,
-    emit_traffic: bool = True,
-) -> Ruleset:
+def build_scan_ruleset(config: EngineConfig, watchlist: Watchlist | None = None) -> Ruleset:
     """One rule over the flow grammar. Its action runs the per-record work
-    in a fixed order: split traffic into firewall-style lines, check the
-    watchlist, then feed incoming records into scan contexts.
+    in a fixed order: split traffic into firewall-style lines (when the
+    engine has sinks), check the watchlist, then feed incoming records into
+    scan contexts.
 
     Scan contexts are only built for incoming traffic; our own outbound
     connections are not scans of us. Direction is classified once per
@@ -44,10 +40,11 @@ def build_scan_ruleset(
         on_fire=scan_alert,
     )
 
-    def flow_action(engine: CorrelationEngine, record: FlowRecord, bindings: Bindings) -> None:
+    def flow_action(engine: CorrelationEngine, record: FlowRecord) -> None:
         direction = classify_direction(record, nets)
-        if emit_traffic:
-            engine.emit(FwLine(direction, format_fw_line(record, direction, date, tz)), record=False)
+        sinks = engine.sinks
+        if sinks is not None:
+            sinks.emit(FwLine(direction, format_fw_line(record, direction, date, tz)))
         alert = check_watchlist(record, direction, watchlist)
         if alert is not None:
             engine.emit(alert)
@@ -55,4 +52,4 @@ def build_scan_ruleset(
             for key in derive_keys(record):
                 engine.add_to_context(engine.ensure_context(key, spec), record)
 
-    return Ruleset([Rule("flow", lambda record: {}, [flow_action])])
+    return Ruleset([Rule("flow", lambda record: True, [flow_action])])

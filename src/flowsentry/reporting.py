@@ -68,10 +68,14 @@ class SinkSet:
 
     def open(self) -> "SinkSet":
         if not self._open:
-            for name in ("incoming", "outgoing", "portscans", "vulscans"):
-                path = getattr(self, f"{name}_path")
-                if path is not None:
-                    self._handles[name] = open(path, "w", encoding="utf-8")
+            try:
+                for name in ("incoming", "outgoing", "portscans", "vulscans"):
+                    path = getattr(self, f"{name}_path")
+                    if path is not None:
+                        self._handles[name] = open(path, "w", encoding="utf-8")
+            except OSError:
+                self.close()
+                raise
             self._open = True
         return self
 

@@ -73,10 +73,6 @@ class LocalNetworks:
         self.cidrs = tuple(str(n) for n in nets)
         self._masks = [(int(n.network_address), int(n.netmask)) for n in nets]
 
-    @classmethod
-    def coerce(cls, nets: "LocalNetworks | Iterable[str]") -> "LocalNetworks":
-        return nets if isinstance(nets, LocalNetworks) else cls(nets)
-
     def contains(self, ip: str) -> bool:
         a, b, c, d = ip.split(".")
         value = (int(a) << 24) | (int(b) << 16) | (int(c) << 8) | int(d)
@@ -86,9 +82,8 @@ class LocalNetworks:
         return False
 
 
-def classify_direction(record: FlowRecord, local_nets: LocalNetworks | Iterable[str]) -> Direction:
+def classify_direction(record: FlowRecord, nets: LocalNetworks) -> Direction:
     """Outgoing when the source address is local, incoming otherwise."""
-    nets = LocalNetworks.coerce(local_nets)
     return Direction.OUTGOING if nets.contains(record.source_ip) else Direction.INCOMING
 
 

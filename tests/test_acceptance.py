@@ -182,13 +182,13 @@ def test_criterion_4_context_invariants_under_fuzzing():
 
             spec = ContextSpec(timeout, trigger=holds, on_fire=fire)
 
-            def action(engine, record, bindings):
+            def action(engine, record):
                 if classify_direction(record, nets) is Direction.OUTGOING:
                     return
                 for key in derive_keys(record):
                     engine.add_to_context(engine.ensure_context(key, spec), record)
 
-            engine = CorrelationEngine(Ruleset([Rule("scan", lambda r: {}, [action])]))
+            engine = CorrelationEngine(Ruleset([Rule("scan", lambda r: True, [action])]))
             for record in records:
                 engine.process(record)
                 now = engine.now

@@ -136,6 +136,24 @@ def test_analyze_reports_sink_write_failures_and_exits_2(tmp_path, capsys, monke
     assert "1 scan alerts" in captured.out
 
 
+def test_baseline_reports_sink_write_failures_and_exits_2(tmp_path, capsys, monkeypatch):
+    real_open = SinkSet.open
+
+    def open_with_failing_portscans(self):
+        real_open(self)
+        self._handles["portscans"].close()
+        self._handles["portscans"] = FailingHandle()
+        return self
+
+    monkeypatch.setattr(SinkSet, "open", open_with_failing_portscans)
+    log = write_corpus(tmp_path, adjacency="adjacent")
+    assert run_command(["baseline", str(log), "--out-dir", str(tmp_path / "out"), "--date", "2004/11/05"]) == 2
+    captured = capsys.readouterr()
+    assert "warning: 4 output writes failed" in captured.err
+    # The summary still reports the whole run.
+    assert "1 Portscans detected" in captured.out
+
+
 def test_follow_reports_sink_write_failures_and_exits_2(tmp_path, capsys, monkeypatch):
     real_open = SinkSet.open
     real_run_follow = cli.run_follow
@@ -218,6 +236,15 @@ def test_bad_config_file_exits_1(tmp_path, capsys):
     assert run_command(["analyze", str(log), "--config", str(config)]) == 1
     config.write_text(yaml.safe_dump({"no_such_knob": 1}))
     assert run_command(["analyze", str(log), "--config", str(config)]) == 1
+
+
+@pytest.mark.parametrize("flag", ["--timeout", "--tick-interval"])
+def test_nan_durations_exit_1(tmp_path, capsys, flag):
+    log = write_corpus(tmp_path)
+    assert run_command(analyze_args(log, tmp_path / "out", flag, "nan", "--no-console")) == 1
+    assert "must be positive" in capsys.readouterr().err
+    # An infinite duration is allowed: nothing expires before the end.
+    assert run_command(analyze_args(log, tmp_path / "out", flag, "inf", "--no-console")) == 0
 
 
 def test_output_dir_env_var_and_flag_precedence(tmp_path, monkeypatch):

@@ -34,10 +34,10 @@ def count_rule(timeout=900.0, threshold=2, key_fn=lambda r: r.source_ip):
 
     spec = ContextSpec(timeout, holds, fire)
 
-    def action(engine, record, bindings):
+    def action(engine, record):
         engine.add_to_context(engine.ensure_context(key_fn(record), spec), record)
 
-    return Rule("count-by-source", lambda record: {}, [action])
+    return Rule("count-by-source", lambda record: True, [action])
 
 
 class SpySinks:
@@ -48,20 +48,20 @@ class SpySinks:
         self.items.append(item)
 
 
-def test_match_rule_returns_bindings_or_none():
+def test_rule_actions_run_only_when_the_matcher_holds():
     seen = []
     rule = Rule(
         "tcp-only",
-        lambda r: {"proto": r.protocol.value} if r.protocol is Protocol.TCP else None,
-        [lambda engine, record, bindings: seen.append(bindings)],
+        lambda r: r.protocol is Protocol.TCP,
+        [lambda engine, record: seen.append(record.protocol)],
     )
-    assert rule.matcher(make_record()) == {"proto": "TCP"}
-    assert rule.matcher(make_record(protocol=Protocol.UDP)) is None
-    # None means no match: the engine runs the rule's actions only on a match.
+    assert rule.matcher(make_record()) is True
+    assert rule.matcher(make_record(protocol=Protocol.UDP)) is False
+    # The engine runs the rule's actions only on a true match.
     engine = CorrelationEngine(Ruleset([rule]))
     engine.process(make_record())
     engine.process(make_record(protocol=Protocol.UDP))
-    assert seen == [{"proto": "TCP"}]
+    assert seen == [Protocol.TCP]
 
 
 def test_deadline_is_message_time_plus_timeout():
@@ -241,7 +241,7 @@ def test_rules_run_in_ruleset_order():
     hits = []
 
     def noting(tag):
-        return Rule(tag, lambda r: {}, [lambda e, r, b: hits.append(tag)])
+        return Rule(tag, lambda r: True, [lambda e, r: hits.append(tag)])
 
     run_engine([make_record()], Ruleset([noting("first"), noting("second")]))
     assert hits == ["first", "second"]
@@ -251,9 +251,8 @@ def test_emit_routes_to_report_and_sinks():
     sinks = SpySinks()
     engine = CorrelationEngine(Ruleset([]), sinks=sinks)
     engine.emit("kept")
-    engine.emit("passthrough", record=False)
     assert engine.report.alerts == ["kept"]
-    assert sinks.items == ["kept", "passthrough"]
+    assert sinks.items == ["kept"]
 
 
 def test_batch_clock_adds_a_day_on_midnight_wrap():
@@ -275,7 +274,7 @@ def test_batch_clock_tolerates_small_backsteps():
 def test_wall_clock_ignores_record_times():
     ticks = iter([5.0, 7.0])
     clock = WallClock(lambda: next(ticks))
-    assert clock.now() == 5.0
+    assert clock.now_for(make_record(time="14:00:00")) == 5.0
     assert clock.now_for(make_record(time="23:00:00")) == 7.0
 
 

@@ -31,7 +31,7 @@ def test_evidence_line_golden():
 def test_ruleset_rule_matches_every_flow_record():
     ruleset = build_scan_ruleset(EngineConfig(date="2004/11/05"))
     (rule,) = ruleset.rules
-    assert rule.matcher(make_record()) == {}
+    assert rule.matcher(make_record()) is True
 
 
 def test_slow_probes_become_one_horizontal_alert():
@@ -100,12 +100,23 @@ def test_incoming_traffic_splits_to_fwin(tmp_path):
     assert [line.text for line in fw] == ["FWIN,2004/11/05,14:03:33 -5:00 GMT,5.5.5.10:3434,10.0.0.7:80,TCP"]
 
 
-def test_emit_traffic_off_suppresses_fw_lines():
+def test_a_run_without_sinks_formats_no_traffic_lines(monkeypatch):
+    calls = []
+    real_format_fw_line = pipeline.format_fw_line
+
+    def counting_format_fw_line(*args):
+        calls.append(args)
+        return real_format_fw_line(*args)
+
+    monkeypatch.setattr(pipeline, "format_fw_line", counting_format_fw_line)
     config = EngineConfig(timeout_value=900.0, date="2004/11/05")
-    sinks = SpySinks()
-    run_engine(slow_probe_records(), build_scan_ruleset(config, default_watchlist(), emit_traffic=False), sinks=sinks)
-    assert not [i for i in sinks.items if isinstance(i, FwLine)]
-    assert [i for i in sinks.items if isinstance(i, ScanAlert)]
+    ruleset = build_scan_ruleset(config, default_watchlist())
+    report = run_engine(slow_probe_records(), ruleset)
+    assert calls == []
+    assert [a for a in report.alerts if isinstance(a, ScanAlert)]
+    # With sinks attached, every record is formatted once.
+    run_engine(slow_probe_records(), ruleset, sinks=SpySinks())
+    assert len(calls) == len(slow_probe_records())
 
 
 @pytest.mark.parametrize("mode", ["min_messages", "distinct_targets"])

@@ -1,5 +1,10 @@
 """Output line formats, byte for byte, and sink routing."""
 
+import builtins
+
+import pytest
+
+from flowsentry import reporting
 from flowsentry.ingest import Protocol
 from flowsentry.reporting import (
     FwLine,
@@ -105,6 +110,23 @@ def test_null_sinks_swallow_everything(capsys):
         sinks.emit(horizontal_alert())
     assert capsys.readouterr().out == ""
     assert sinks.write_failures == 0
+
+
+def test_a_failed_open_closes_the_files_already_open(tmp_path, monkeypatch):
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        handle = builtins.open(*args, **kwargs)
+        opened.append(handle)
+        return handle
+
+    monkeypatch.setattr(reporting, "open", recording_open, raising=False)
+    # The portscans path is a directory, so the third open fails.
+    sinks = SinkSet(str(tmp_path / "incoming"), str(tmp_path / "outgoing"), str(tmp_path))
+    with pytest.raises(OSError):
+        sinks.open()
+    assert len(opened) == 2
+    assert all(handle.closed for handle in opened)
 
 
 def test_raw_line_writers_for_the_batch_detector(tmp_path):
