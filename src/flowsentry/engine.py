@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Callable, Iterable
@@ -126,7 +126,10 @@ class CorrelationEngine:
     the highest time seen so far. So within one timeout value, the order in
     which contexts were last touched is also their deadline order, and each
     timeout gets one queue kept in touch order: a slide moves the context to
-    the back, expiry pops from the front.
+    the back, expiry pops from the front. These queues are the only store,
+    so a key names one live context per timeout value: rules that share a
+    key and a timeout share the context, rules with different timeouts
+    do not.
     """
 
     def __init__(self, ruleset: Ruleset, *, clock: Any = None, sinks: Any = None):
@@ -134,52 +137,70 @@ class CorrelationEngine:
         self.clock = clock if clock is not None else BatchClock()
         self.sinks = sinks
         self.report = EngineReport()
-        self._contexts: dict[Any, Context] = {}
-        self._queues: dict[float, OrderedDict[Any, Context]] = {}
+        # The only context store: one touch-ordered queue per timeout value.
+        self._queues: defaultdict[float, OrderedDict[Any, Context]] = defaultdict(OrderedDict)
         self._now = 0.0
+        # No queued deadline is earlier: a create lowers it, a slide only
+        # raises deadlines, and each expiry scan recomputes it.
+        self._next_due = math.inf
 
     @property
     def now(self) -> float:
         return self._now
 
     def live_contexts(self) -> list[Context]:
-        return list(self._contexts.values())
+        """Every live context, timeout by timeout, each in deadline order."""
+        return [ctx for queue in self._queues.values() for ctx in queue.values()]
+
+    def queue_lengths(self) -> dict[float, int]:
+        return {timeout: len(queue) for timeout, queue in self._queues.items()}
 
     def find_context(self, key: Any) -> Context | None:
-        return self._contexts.get(key)
+        """The live context for key under the first timeout value that has one."""
+        return next((queue[key] for queue in self._queues.values() if key in queue), None)
 
     def emit(self, alert: Any) -> None:
         self.report.alerts.append(alert)
         if self.sinks is not None:
             self.sinks.emit(alert)
 
-    def ensure_context(self, key: Any, spec: ContextSpec) -> Context:
-        """Return the live context for key, creating it from spec if absent."""
-        ctx = self._contexts.get(key)
-        if ctx is not None:
-            return ctx
+    def touch(self, key: Any, spec: ContextSpec, message: FlowRecord) -> Context:
+        """ensure_context(key, spec) then add_to_context(ctx, message), in one step."""
         timeout = spec.timeout_value
-        ctx = Context(key, spec, self._now + timeout)
-        self._contexts[key] = ctx
-        queue = self._queues.get(timeout)
-        if queue is None:
-            queue = self._queues[timeout] = OrderedDict()
-        queue[key] = ctx
-        self.report.contexts_created += 1
+        queue = self._queues[timeout]
+        ctx = queue.get(key)
+        deadline = self._now + timeout
+        if ctx is None:
+            # ensure_context's create, inlined: on traffic from fresh sources
+            # nearly every touch creates.
+            queue[key] = ctx = Context(key, spec, deadline)
+            self.report.contexts_created += 1
+            if deadline < self._next_due:
+                self._next_due = deadline
+        elif deadline != ctx.deadline:
+            ctx.deadline = deadline
+            queue.move_to_end(key)
+        ctx.messages.append(message)
+        return ctx
+
+    def ensure_context(self, key: Any, spec: ContextSpec) -> Context:
+        """Return the live context for key under spec's timeout value,
+        creating it from spec if absent."""
+        queue = self._queues[spec.timeout_value]
+        ctx = queue.get(key)
+        if ctx is None:
+            deadline = self._now + spec.timeout_value
+            queue[key] = ctx = Context(key, spec, deadline)
+            self.report.contexts_created += 1
+            if deadline < self._next_due:
+                self._next_due = deadline
         return ctx
 
     def add_to_context(self, ctx: Context, message: FlowRecord) -> Context:
         """Append a message and slide the deadline to now + timeout_value."""
-        key = ctx.key
-        if self._contexts.get(key) is not ctx:
-            raise AddToExpiredError(f"context {key!r} already expired")
-        ctx.messages.append(message)
-        timeout = ctx.spec.timeout_value
-        deadline = self._now + timeout
-        if deadline != ctx.deadline:
-            ctx.deadline = deadline
-            self._queues[timeout].move_to_end(key)
-        return ctx
+        if self._queues[ctx.spec.timeout_value].get(ctx.key) is not ctx:
+            raise AddToExpiredError(f"context {ctx.key!r} already expired")
+        return self.touch(ctx.key, ctx.spec, message)
 
     def expire_contexts(self, now: float) -> list[Any]:
         """Remove every context whose deadline is <= now, firing triggers.
@@ -190,12 +211,18 @@ class CorrelationEngine:
         whatever their deadlines, so runs are reproducible regardless of
         store internals.
         """
-        contexts, report = self._contexts, self.report
+        fired: list[Any] = []
+        if now < self._next_due:
+            return fired
+        report = self.report
         triggered: list[Context] = []
+        next_due = math.inf
         for queue in self._queues.values():
             due = 0
             for ctx in queue.values():
                 if ctx.deadline > now:
+                    if ctx.deadline < next_due:
+                        next_due = ctx.deadline
                     break
                 due += 1
             if not due:
@@ -203,11 +230,10 @@ class CorrelationEngine:
             report.contexts_expired += due
             popitem = queue.popitem
             for _ in range(due):
-                key, ctx = popitem(last=False)
-                del contexts[key]
+                ctx = popitem(last=False)[1]
                 if ctx.spec.trigger(ctx):
                     triggered.append(ctx)
-        fired: list[Any] = []
+        self._next_due = next_due
         if not triggered:
             return fired
         if len(triggered) > 1:

@@ -50,6 +50,6 @@ def build_scan_ruleset(config: EngineConfig, watchlist: Watchlist | None = None)
             engine.emit(alert)
         if direction is Direction.INCOMING:
             for key in derive_keys(record):
-                engine.add_to_context(engine.ensure_context(key, spec), record)
+                engine.touch(key, spec, record)
 
     return Ruleset([Rule("flow", lambda record: True, [flow_action])])

@@ -91,32 +91,37 @@ class SinkSet:
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
-    def _write(self, name: str, text: str, flush: bool = False) -> None:
+    def _write(self, name: str, text: str) -> None:
+        """Write and flush text, counting a failure instead of raising."""
         handle = self._handles.get(name)
         if handle is None:
             return
         try:
             handle.write(text)
-            if flush:
-                handle.flush()
+            handle.flush()
         except OSError:
             self.write_failures += 1
 
     def write_portscans(self, text: str) -> None:
-        self._write("portscans", text + "\n", flush=True)
+        self._write("portscans", text + "\n")
 
     def write_vulscans(self, text: str) -> None:
-        self._write("vulscans", text + "\n", flush=True)
+        self._write("vulscans", text + "\n")
 
     def emit(self, item: Any) -> None:
         """Route one alert or traffic line to its destinations, in call order."""
         if isinstance(item, FwLine):
-            self._write("outgoing" if item.direction is Direction.OUTGOING else "incoming", item.text + "\n")
+            handle = self._handles.get("outgoing" if item.direction is Direction.OUTGOING else "incoming")
+            if handle is not None:
+                try:
+                    handle.write(item.text + "\n")
+                except OSError:
+                    self.write_failures += 1
         elif isinstance(item, ScanAlert):
             block = format_scan_alert(item)
-            self._write("portscans", block + "\n", flush=True)
+            self._write("portscans", block + "\n")
             if self.console:
                 sys.stdout.write(block + "\n")
                 sys.stdout.flush()
         elif isinstance(item, VulnAlert):
-            self._write("vulscans", format_vuln_alert(item) + "\n", flush=True)
+            self._write("vulscans", format_vuln_alert(item) + "\n")

@@ -63,17 +63,40 @@ class VulnAlert:
     record: FlowRecord
 
 
+_NO_LOCAL_OCTETS = dict.fromkeys(map(str, range(256)), False)
+
+
 class LocalNetworks:
-    """Membership test for the configured local address space."""
+    """Membership test for the configured IPv4 local address space. A
+    first-octet table answers for most addresses; octets that a prefix
+    longer than /8 cuts into, and first octets written with leading zeros,
+    go through the network masks."""
 
     def __init__(self, cidrs: Iterable[str]):
         nets = [ipaddress.ip_network(c) for c in cidrs]
         if not nets:
             raise ValueError("local_nets must not be empty")
+        for net in nets:
+            if net.version != 4:
+                raise ValueError(f"local network {net} is not IPv4")
         self.cidrs = tuple(str(n) for n in nets)
         self._masks = [(int(n.network_address), int(n.netmask)) for n in nets]
+        # First octet as text -> True (a network covers the whole octet),
+        # False (no network touches it) or None (a longer prefix cuts into it).
+        table: dict[str, bool | None] = dict(_NO_LOCAL_OCTETS)
+        for n in nets:
+            first = int(n.network_address) >> 24
+            if n.prefixlen <= 8:
+                for octet in range(first, first + (1 << (8 - n.prefixlen))):
+                    table[str(octet)] = True
+            elif table[str(first)] is False:
+                table[str(first)] = None
+        self._first_octet = table
 
     def contains(self, ip: str) -> bool:
+        local = self._first_octet.get(ip.partition(".")[0])
+        if local is not None:
+            return local
         a, b, c, d = ip.split(".")
         value = (int(a) << 24) | (int(b) << 16) | (int(c) << 8) | int(d)
         for net, mask in self._masks:

@@ -247,6 +247,15 @@ def test_nan_durations_exit_1(tmp_path, capsys, flag):
     assert run_command(analyze_args(log, tmp_path / "out", flag, "inf", "--no-console")) == 0
 
 
+@pytest.mark.parametrize("net", ["::/0", "::ffff:10.0.0.0/104"])
+def test_ipv6_local_net_exits_1(tmp_path, capsys, net):
+    log = write_corpus(tmp_path)
+    out = tmp_path / "out"
+    assert run_command(analyze_args(log, out, "--local-net", net, "--no-console")) == 1
+    assert "is not IPv4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_output_dir_env_var_and_flag_precedence(tmp_path, monkeypatch):
     log = write_corpus(tmp_path)
     env_dir = tmp_path / "from-env"

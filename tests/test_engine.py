@@ -219,6 +219,7 @@ def test_queues_hold_exactly_the_live_contexts(steps):
         queued = queued_contexts(engine)
         # No stale entries: every queued context is live, and only once.
         assert sorted(map(id, live)) == sorted(id(ctx) for _, ctx in queued)
+        assert sum(engine.queue_lengths().values()) == len(live)
         for timeout, queue in engine._queues.items():
             deadlines = [ctx.deadline for ctx in queue.values()]
             assert deadlines == sorted(deadlines)
@@ -228,6 +229,80 @@ def test_queues_hold_exactly_the_live_contexts(steps):
     assert engine.live_contexts() == []
     assert queued_contexts(engine) == []
     assert engine.report.contexts_expired == engine.report.contexts_created
+
+
+def fires_key(ctx):
+    return (ctx.key, ctx.spec.timeout_value, len(ctx.messages))
+
+
+SHORT = ContextSpec(10.0, trigger=lambda ctx: True, on_fire=fires_key)
+LONG = ContextSpec(900.0, trigger=lambda ctx: True, on_fire=fires_key)
+
+
+def touch_in_two_calls(engine, key, spec, message):
+    return engine.add_to_context(engine.ensure_context(key, spec), message)
+
+
+def engine_state(engine):
+    queues = {
+        timeout: [(key, ctx.deadline, list(ctx.messages)) for key, ctx in queue.items()]
+        for timeout, queue in engine._queues.items()
+    }
+    return queues, engine.report, engine.now
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.integers(-120, 400), st.sampled_from(["a", "b", "c"]), st.sampled_from([300.0, 900.0])),
+        max_size=60,
+    )
+)
+def test_touch_leaves_the_state_ensure_then_add_leaves(steps):
+    specs = {timeout: ContextSpec(timeout, lambda ctx: len(ctx.messages) >= 2, fires_key) for timeout in (300.0, 900.0)}
+    fused, split = CorrelationEngine(Ruleset([])), CorrelationEngine(Ruleset([]))
+    t = 50000
+    for gap, key, timeout in steps:
+        # Negative gaps step back; engine time stays at its high-water mark.
+        t += gap
+        record = make_record(time=t)
+        assert fused.advance(float(t)) == split.advance(float(t))
+        ctx = fused.touch(key, specs[timeout], record)
+        assert touch_in_two_calls(split, key, specs[timeout], record).messages == ctx.messages
+        assert engine_state(fused) == engine_state(split)
+    fused.finish()
+    split.finish()
+    assert engine_state(fused) == engine_state(split)
+
+
+@pytest.mark.parametrize("touch", [CorrelationEngine.touch, touch_in_two_calls])
+def test_a_short_context_created_after_a_long_one_expires_at_its_own_deadline(touch):
+    engine = CorrelationEngine(Ruleset([]))
+    touch(engine, "long", LONG, make_record())
+    assert engine.advance(100.0) == []
+    touch(engine, "short", SHORT, make_record())
+    assert engine.advance(109.0) == []
+    assert engine.advance(110.0) == [("short", 10.0, 1)]
+    assert engine.advance(899.0) == []
+    assert engine.advance(900.0) == [("long", 900.0, 1)]
+
+
+def test_a_key_names_one_live_context_per_timeout_value():
+    engine = CorrelationEngine(Ruleset([]))
+    other_short = ContextSpec(10.0, trigger=lambda ctx: False, on_fire=fires_key)
+    short = engine.touch("k", SHORT, make_record())
+    # Same timeout value: the same context, still under the spec that made it.
+    assert engine.touch("k", other_short, make_record()) is short
+    assert short.spec is SHORT and len(short.messages) == 2
+    # Another timeout value: a context of its own under the same key.
+    long = engine.touch("k", LONG, make_record())
+    assert long is not short
+    assert engine.queue_lengths() == {10.0: 1, 900.0: 1}
+    assert engine.live_contexts() == [short, long]
+    assert engine.find_context("k") is short
+    assert engine.advance(10.0) == [("k", 10.0, 2)]
+    assert engine.find_context("k") is long
+    assert engine.queue_lengths() == {10.0: 0, 900.0: 1}
 
 
 def test_finish_flushes_pending_contexts():

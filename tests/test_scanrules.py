@@ -1,8 +1,10 @@
 """Direction, scan keys, trigger policies, and the watchlist."""
 
+import ipaddress
 import logging
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from flowsentry.engine import Context, ContextSpec
 from flowsentry.scanrules import (
@@ -155,3 +157,55 @@ def test_check_watchlist_uses_direction_specific_ports():
     outgoing_hit = make_record(src="10.0.0.1", sport=22, dport=50000)
     assert check_watchlist(outgoing_hit, Direction.OUTGOING, watchlist).entry.name == "sshd"
     assert check_watchlist(make_record(dport=80), Direction.INCOMING, watchlist) is None
+
+
+@pytest.mark.parametrize("net", ["::/0", "::ffff:10.0.0.0/104", "2001:db8::/32"])
+def test_local_networks_reject_ipv6(net):
+    # ::/0 used to make every IPv4 address local, and the mapped form matched none.
+    with pytest.raises(ValueError, match="is not IPv4"):
+        LocalNetworks(["10.0.0.0/8", net])
+
+
+def mask_loop_contains(cidrs, ip):
+    """The membership test LocalNetworks ran on every address before it
+    had a first-octet table: the whole address against each network mask."""
+    masks = [(int(n.network_address), int(n.netmask)) for n in map(ipaddress.ip_network, cidrs)]
+    a, b, c, d = ip.split(".")
+    value = (int(a) << 24) | (int(b) << 16) | (int(c) << 8) | int(d)
+    for net, mask in masks:
+        if value & mask == net:
+            return True
+    return False
+
+
+@st.composite
+def networks_and_addresses(draw):
+    cidrs = []
+    for _ in range(draw(st.integers(1, 4))):
+        prefix = draw(st.sampled_from([0, 1, 7, 8, 9, 12, 16, 24, 32]))
+        value = draw(st.integers(0, 2**32 - 1)) & (0xFFFFFFFF << (32 - prefix)) & 0xFFFFFFFF
+        cidrs.append(f"{ipaddress.IPv4Address(value)}/{prefix}")
+    addresses = []
+    for _ in range(draw(st.integers(1, 20))):
+        value = draw(st.integers(0, 2**32 - 1))
+        near = draw(st.sampled_from(["anywhere", "inside", "just outside"]))
+        if near != "anywhere":
+            net = ipaddress.ip_network(draw(st.sampled_from(cidrs)))
+            value = int(net.network_address) | (value & int(net.hostmask))
+            if near == "just outside" and net.prefixlen:
+                value ^= 1 << draw(st.integers(32 - net.prefixlen, 31))
+        zeros = draw(st.lists(st.integers(0, 2), min_size=4, max_size=4))
+        octets = [(value >> shift) & 255 for shift in (24, 16, 8, 0)]
+        addresses.append(".".join("0" * z + str(octet) for z, octet in zip(zeros, octets)))
+    return cidrs, addresses
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=networks_and_addresses())
+@example(case=(["10.0.0.0/8"], ["010.0.0.1", "0255.1.2.3", "10.0.0.1", "00.0.0.0"]))
+@example(case=(["255.0.0.0/9", "10.16.0.0/12"], ["0255.1.2.3", "255.128.0.0", "010.17.0.1", "10.32.0.1"]))
+def test_first_octet_table_agrees_with_the_mask_loop(case):
+    cidrs, addresses = case
+    nets = LocalNetworks(cidrs)
+    for ip in addresses:
+        assert nets.contains(ip) is mask_loop_contains(cidrs, ip), (cidrs, ip)
