@@ -10,15 +10,15 @@ import sys
 from itertools import chain
 from typing import Any
 
-from .baseline import baseline_scan, compare_reports
-from .bench import measure_throughput
-from .config import ConfigError, EngineConfig, load_config, merge_overrides, resolve_watchlist
+from .config import PRESET_NAMES, ConfigError, EngineConfig, load_config, merge_overrides, resolve_watchlist
 from .engine import run_engine, run_follow
-from .generator import PRESET_NAMES, gen_config_from_dict, generate, ground_truth_to_text, preset
 from .ingest import ingest
 from .pipeline import build_scan_ruleset
 from .reporting import SinkSet
 from .scanrules import ScanAlert, VulnAlert
+
+# The generator, baseline and bench modules are imported inside the commands
+# that use them, so analyze and follow start without compiling them.
 
 OUTPUT_DIR_ENV = "FLOWSENTRY_OUTPUT_DIR"
 
@@ -161,6 +161,8 @@ def _cmd_follow(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .generator import gen_config_from_dict, generate, ground_truth_to_text, preset
+
     if args.genconfig in PRESET_NAMES:
         gen_config = preset(args.genconfig)
         stem = args.genconfig
@@ -187,6 +189,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
+    from .baseline import baseline_scan
+
     config = _resolve_config(args)
     watchlist, _ = resolve_watchlist(config)
     base = os.path.basename(args.log)
@@ -208,6 +212,8 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .baseline import baseline_scan, compare_reports
+
     config = _resolve_config(args)
     watchlist, _ = resolve_watchlist(config)
     record_iter, _stats = ingest(args.log, "batch")
@@ -220,6 +226,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import measure_throughput
+
     if args.repetitions < 3:
         raise ConfigError("bench needs at least 3 repetitions")
     config = _resolve_config(args)

@@ -12,6 +12,10 @@ from .scanrules import LocalNetworks, TriggerPolicy, Watchlist, WatchlistEntry, 
 
 DEFAULT_LOCAL_NETS = ("10.0.0.0/8",)
 
+# Generator presets by name, sorted; generator.preset() builds each. Listed
+# here so the CLI can name them without importing the generator.
+PRESET_NAMES = ("netbus-slow",)
+
 # Services watched when no watchlist file is configured.
 DEFAULT_WATCHLIST = (WatchlistEntry("NetBus", 12346, "in"),)
 
@@ -50,15 +54,19 @@ class EngineConfig:
             raise ConfigError("date must look like yyyy/mm/dd")
         try:
             TriggerPolicy(self.trigger_policy, self.min_messages)
-            LocalNetworks(self.local_nets)
+            networks = LocalNetworks(self.local_nets)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # Kept for networks(); not a field, so as_dict(), equality and
+        # dataclasses.replace() never see it.
+        object.__setattr__(self, "_networks", networks)
 
     def policy(self) -> TriggerPolicy:
         return TriggerPolicy(self.trigger_policy, self.min_messages)
 
     def networks(self) -> LocalNetworks:
-        return LocalNetworks(self.local_nets)
+        """The parsed local_nets, built once when the config is."""
+        return self._networks
 
     def resolved_date(self) -> str:
         return self.date if self.date is not None else time.strftime("%Y/%m/%d")

@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .config import ConfigError, DEFAULT_LOCAL_NETS
+from .config import DEFAULT_LOCAL_NETS, PRESET_NAMES, ConfigError
 from .ingest import FlowRecord, Protocol, format_line
 from .scanrules import LocalNetworks, ScanAlert, ScanKind
 
@@ -364,8 +364,6 @@ def _netbus_slow() -> GenConfig:
 
 
 _PRESETS = {"netbus-slow": _netbus_slow}
-
-PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
 def preset(name: str) -> GenConfig:

@@ -148,6 +148,9 @@ _PROTOCOLS = {member.value: member for member in Protocol}
 # Protocol text by member: a dict lookup costs a fraction of the Enum
 # `.value` property on the per-line formatting paths.
 PROTOCOL_TEXT = {member: member.value for member in Protocol}
+# Builds a named tuple from a ready tuple of its fields without the Python
+# frame of the class's generated __new__; called once per parsed line.
+_new_tuple = tuple.__new__
 
 
 def parse_line(line: str) -> FlowRecord:
@@ -166,17 +169,20 @@ def parse_line(line: str) -> FlowRecord:
     dest_port = 0 if dest_token == "--" else int(dest_token)
     if dest_port > 65535:
         raise ParseError(m.start(10), "destination port out of range")
-    return FlowRecord(
-        int(raw_1),
-        int(raw_2),
-        (int(hours) * 3600 + int(minutes) * 60 + int(seconds)) % 86400,
-        _PROTOCOLS[protocol],
-        source_ip,
-        source_port,
-        dest_ip,
-        dest_port,
-        int(raw_8),
-        int(packets),
+    return _new_tuple(
+        FlowRecord,
+        (
+            int(raw_1),
+            int(raw_2),
+            (int(hours) * 3600 + int(minutes) * 60 + int(seconds)) % 86400,
+            _PROTOCOLS[protocol],
+            source_ip,
+            source_port,
+            dest_ip,
+            dest_port,
+            int(raw_8),
+            int(packets),
+        ),
     )
 
 

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from functools import partial
-
 from .config import EngineConfig
-from .engine import ContextSpec, CorrelationEngine, Rule, Ruleset
+from .engine import Context, ContextSpec, CorrelationEngine, Rule, Ruleset
 from .ingest import FlowRecord
 from .reporting import FwLine, format_fw_line
 from .scanrules import (
@@ -17,6 +15,10 @@ from .scanrules import (
     scan_alert,
     trigger_holds,
 )
+
+# Builds a named tuple from a ready tuple of its fields without the Python
+# frame of the class's generated __new__; called once per record.
+_new_tuple = tuple.__new__
 
 
 def build_scan_ruleset(config: EngineConfig, watchlist: Watchlist | None = None) -> Ruleset:
@@ -34,17 +36,19 @@ def build_scan_ruleset(config: EngineConfig, watchlist: Watchlist | None = None)
     date = config.resolved_date()
     tz = config.tz
     watchlist = watchlist if watchlist is not None else Watchlist()
-    spec = ContextSpec(
-        timeout_value=config.timeout_value,
-        trigger=partial(trigger_holds, policy=policy),
-        on_fire=scan_alert,
-    )
+
+    def trigger(ctx: Context) -> bool:
+        # A closure calling positionally costs about half of a partial with
+        # a keyword, and it runs once per expiring context.
+        return trigger_holds(ctx, policy)
+
+    spec = ContextSpec(timeout_value=config.timeout_value, trigger=trigger, on_fire=scan_alert)
 
     def flow_action(engine: CorrelationEngine, record: FlowRecord) -> None:
         direction = classify_direction(record, nets)
         sinks = engine.sinks
         if sinks is not None:
-            sinks.emit(FwLine(direction, format_fw_line(record, direction, date, tz)))
+            sinks.emit(_new_tuple(FwLine, (direction, format_fw_line(record, direction, date, tz))))
         alert = check_watchlist(record, direction, watchlist)
         if alert is not None:
             engine.emit(alert)

@@ -29,6 +29,30 @@ def test_importing_the_cli_leaves_yaml_unloaded():
     assert result.returncode == 0
 
 
+def test_analyze_leaves_generator_baseline_and_bench_unloaded(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    log = tmp_path / "flows.log"
+    log.write_text("\n".join(slow_probe_lines()) + "\n", encoding="utf-8")
+    argv = ["analyze", str(log), "--out-dir", str(tmp_path / "out"), "--no-console"]
+    code = (
+        "import contextlib, io, json, sys, flowsentry.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = flowsentry.cli.run_command({argv!r})\n"
+        "loaded = [m for m in ('generator', 'baseline', 'bench') if f'flowsentry.{m}' in sys.modules]\n"
+        "from flowsentry import baseline_scan, generate, measure_throughput\n"
+        "print(json.dumps([rc, loaded, [f.__module__ for f in (baseline_scan, generate, measure_throughput)]]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        encoding="utf-8",
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [0, [], ["flowsentry.baseline", "flowsentry.generator", "flowsentry.bench"]]
+
+
 def corpus_config(adjacency="interleaved"):
     return GenConfig(
         duration=120,

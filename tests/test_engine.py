@@ -1,5 +1,6 @@
 """Context lifecycle, clocks, and the record-driven engine loop."""
 
+import gc
 import logging
 import threading
 import time
@@ -18,9 +19,14 @@ from flowsentry.engine import (
     run_engine,
     run_follow,
 )
-from flowsentry.ingest import Protocol
+from flowsentry.config import EngineConfig
+from flowsentry.generator import GenConfig, ScanSpec, generate
+from flowsentry.ingest import Protocol, ingest
+from flowsentry.pipeline import build_scan_ruleset
+from flowsentry.reporting import SinkSet
+from flowsentry.scanrules import ScanKind, VulnAlert, Watchlist, WatchlistEntry
 
-from conftest import make_line, make_record, tod
+from conftest import make_line, make_record, slow_probe_records, tod
 
 
 def count_rule(timeout=900.0, threshold=2, key_fn=lambda r: r.source_ip):
@@ -436,3 +442,85 @@ def test_follow_logs_truncation_and_reads_from_the_top(tmp_path, caplog):
     assert "was truncated or replaced; following from the top" in caplog.text
     assert stats.records_parsed == 3
     assert report.contexts_created == 2
+
+
+def mixed_corpus(tmp_path):
+    """A log that starts ten minutes before midnight and holds two scans
+    that fire, probes of a watched port, and a malformed line every 50."""
+    config = GenConfig(
+        duration=1800,
+        background_rate=1.0,
+        seed=11,
+        start_tod=86400 - 600,
+        scans=(
+            ScanSpec(ScanKind.HORIZONTAL, "5.5.5.10", 12346, probes=4, inter_probe_gap=60, start_time=300),
+            ScanSpec(ScanKind.VERTICAL, "6.6.6.6", "10.0.0.9", probes=5, inter_probe_gap=90, start_time=500),
+        ),
+    )
+    lines, _ = generate(config)
+    lines = [line[: len(line) // 2] if i % 50 == 49 else line for i, line in enumerate(lines)]
+    path = tmp_path / "mixed.log"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def scan_ruleset():
+    config = EngineConfig(date="2004/11/05")
+    return build_scan_ruleset(config, Watchlist([WatchlistEntry("NetBus", 12346, "in")]))
+
+
+def test_run_engine_leaves_no_garbage_cycles(tmp_path):
+    # The premise of the collector pause: with the collector off, a whole
+    # run, sinks included, leaves nothing that only a collection frees.
+    log = mixed_corpus(tmp_path)
+    times = [record.event_time for record in ingest(log, "batch")[0]]
+    assert times[0] > times[-1]  # the stream crosses midnight
+    ruleset = scan_ruleset()
+    sinks = SinkSet(*(str(tmp_path / name) for name in ("in", "out", "scans", "vulns")))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        records, stats = ingest(log, "batch")
+        with sinks:
+            report = run_engine(records, ruleset, sinks=sinks)
+        unreachable = gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert stats.parse_failures > 0
+    assert report.contexts_fired >= 2
+    assert any(isinstance(alert, VulnAlert) for alert in report.alerts)
+    assert unreachable == 0
+
+
+def failing_records(records, after):
+    for i, record in enumerate(records):
+        if i == after:
+            raise RuntimeError("source failed")
+        yield record
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("fail", [False, True])
+def test_run_engine_restores_the_collector_state(enabled, fail):
+    records = slow_probe_records()
+    if fail:
+        records = failing_records(records, after=2)
+    was_enabled = gc.isenabled()
+    try:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        if fail:
+            with pytest.raises(RuntimeError, match="source failed"):
+                run_engine(records, scan_ruleset())
+        else:
+            assert run_engine(records, scan_ruleset()).contexts_fired == 1
+        assert gc.isenabled() is enabled
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()

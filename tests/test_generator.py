@@ -2,7 +2,7 @@
 
 import pytest
 
-from flowsentry.config import ConfigError
+from flowsentry.config import PRESET_NAMES, ConfigError
 from flowsentry.generator import (
     GenConfig,
     GroundTruthScan,
@@ -218,8 +218,13 @@ def test_preset_netbus_slow_shape():
 
 
 def test_unknown_preset_raises():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^unknown preset 'netbus-fast' \(have: netbus-slow\)$"):
         preset("netbus-fast")
+
+
+def test_every_listed_preset_builds():
+    assert PRESET_NAMES == tuple(sorted(PRESET_NAMES))
+    assert all(isinstance(preset(name), GenConfig) for name in PRESET_NAMES)
 
 
 def test_gen_config_from_dict_round_trip():
