@@ -43,17 +43,26 @@ class Ruleset:
 class ContextSpec:
     """What every context of one rule shares: its timeout, the trigger
     evaluated once at expiry, and the callback that builds the alert when
-    the trigger holds. Build one per rule, not one per context.
+    the trigger holds. Build one per rule, not one per context. The timeout
+    must be a positive number of seconds.
 
-    The trigger must be a pure function of its context: it is evaluated as
-    the context leaves the store, in deadline order, once per expiring
-    context, so it sits on the hot path and should be cheap. on_fire runs
-    in key order, after every context due at that instant has been removed.
+    The trigger must be a pure function of its context and must not keep
+    it: it is evaluated as the context leaves the store, in deadline order,
+    once per expiring context, so it sits on the hot path and should be
+    cheap. A context that expires holding one message is handed to the
+    trigger as a stand-in that the engine reuses for the next one. on_fire
+    runs in key order, after every context due at that instant has been
+    removed, and always gets a Context of its own.
     """
 
     timeout_value: float
     trigger: Callable[["Context"], bool]
     on_fire: Callable[["Context"], Any]
+
+    def __post_init__(self) -> None:
+        # Written so that NaN fails too.
+        if not self.timeout_value > 0:
+            raise ValueError(f"timeout_value must be positive, not {self.timeout_value!r}")
 
 
 class Context:
@@ -63,6 +72,12 @@ class Context:
     engine time plus spec.timeout_value. Expiry evaluates spec.trigger
     once; spec.on_fire runs only if it holds, and the context is gone
     either way.
+
+    The engine keeps a context that holds one message as a plain
+    (deadline, spec, message) entry and builds the Context when a second
+    message arrives or when a caller asks for it (touch, ensure_context,
+    find_context, live_contexts); from then on the same object stays in
+    the store until it expires.
     """
 
     __slots__ = ("key", "spec", "deadline", "messages")
@@ -72,6 +87,22 @@ class Context:
         self.spec = spec
         self.deadline = deadline
         self.messages: list[FlowRecord] = []
+
+
+def _build(key: Any, entry: tuple[float, ContextSpec, FlowRecord]) -> Context:
+    deadline, spec, message = entry
+    ctx = Context(key, spec, deadline)
+    ctx.messages.append(message)
+    return ctx
+
+
+def _context_at(queue: OrderedDict[Any, Any], key: Any) -> Context:
+    """The Context for a key in queue, built in place of a one-message
+    entry, so the key keeps its place in the queue."""
+    entry = queue[key]
+    if entry.__class__ is tuple:
+        queue[key] = entry = _build(key, entry)
+    return entry
 
 
 _context_key = attrgetter("key")
@@ -132,6 +163,12 @@ class CorrelationEngine:
     so a key names one live context per timeout value: rules that share a
     key and a timeout share the context, rules with different timeouts
     do not.
+
+    add(keys, spec, message) is the store-writing step and returns nothing,
+    so a context that only ever holds one message is never built as a
+    Context; touch(key, spec, message) does the same for one key and
+    returns the Context. find_context and live_contexts() build the
+    contexts they return.
     """
 
     def __init__(self, ruleset: Ruleset, *, clock: Any = None, sinks: Any = None):
@@ -140,11 +177,17 @@ class CorrelationEngine:
         self.sinks = sinks
         self.report = EngineReport()
         # The only context store: one touch-ordered queue per timeout value.
-        self._queues: defaultdict[float, OrderedDict[Any, Context]] = defaultdict(OrderedDict)
+        # An entry is a Context, or (deadline, spec, message) for a context
+        # that holds one message and that no caller has asked for yet.
+        self._queues: defaultdict[float, OrderedDict[Any, Any]] = defaultdict(OrderedDict)
         self._now = 0.0
         # No queued deadline is earlier: a create lowers it, a slide only
         # raises deadlines, and each expiry scan recomputes it.
         self._next_due = math.inf
+        # What the trigger of an expiring one-message entry is handed: its
+        # fields and its one message are set in place for each such entry.
+        self._stand_in = Context(None, None)  # type: ignore[arg-type]
+        self._stand_in.messages.append(None)  # type: ignore[arg-type]
 
     @property
     def now(self) -> float:
@@ -152,52 +195,60 @@ class CorrelationEngine:
 
     def live_contexts(self) -> list[Context]:
         """Every live context, timeout by timeout, each in deadline order."""
-        return [ctx for queue in self._queues.values() for ctx in queue.values()]
+        return [_context_at(queue, key) for queue in self._queues.values() for key in queue]
 
     def queue_lengths(self) -> dict[float, int]:
         return {timeout: len(queue) for timeout, queue in self._queues.items()}
 
     def find_context(self, key: Any) -> Context | None:
         """The live context for key under the first timeout value that has one."""
-        return next((queue[key] for queue in self._queues.values() if key in queue), None)
+        return next((_context_at(queue, key) for queue in self._queues.values() if key in queue), None)
 
     def emit(self, alert: Any) -> None:
         self.report.alerts.append(alert)
         if self.sinks is not None:
             self.sinks.emit(alert)
 
-    def touch(self, key: Any, spec: ContextSpec, message: FlowRecord) -> Context:
-        """ensure_context(key, spec) then add_to_context(ctx, message), in one step."""
+    def add(self, keys: Iterable[Any], spec: ContextSpec, message: FlowRecord) -> None:
+        """touch(key, spec, message) for each key, without building or
+        returning a Context for a key whose context holds one message."""
         timeout = spec.timeout_value
         queue = self._queues[timeout]
-        ctx = queue.get(key)
         deadline = self._now + timeout
-        if ctx is None:
-            # ensure_context's create, inlined: on traffic from fresh sources
-            # nearly every touch creates.
-            queue[key] = ctx = Context(key, spec, deadline)
-            ctx.messages.append(message)
-            self.report.contexts_created += 1
+        created = 0
+        for key in keys:
+            entry = queue.get(key)
+            if entry is None:
+                queue[key] = (deadline, spec, message)
+                created += 1
+                continue
+            if entry.__class__ is tuple:
+                entry = _context_at(queue, key)
+            if deadline != entry.deadline:
+                entry.deadline = deadline
+                queue.move_to_end(key)
+            entry.messages.append(message)
+        if created:
+            self.report.contexts_created += created
             if deadline < self._next_due:
                 self._next_due = deadline
-            return ctx
-        if deadline != ctx.deadline:
-            ctx.deadline = deadline
-            queue.move_to_end(key)
-        ctx.messages.append(message)
-        return ctx
+
+    def touch(self, key: Any, spec: ContextSpec, message: FlowRecord) -> Context:
+        """ensure_context(key, spec) then add_to_context(ctx, message), in one step."""
+        self.add((key,), spec, message)
+        return _context_at(self._queues[spec.timeout_value], key)
 
     def ensure_context(self, key: Any, spec: ContextSpec) -> Context:
         """Return the live context for key under spec's timeout value,
         creating it from spec if absent."""
         queue = self._queues[spec.timeout_value]
-        ctx = queue.get(key)
-        if ctx is None:
-            deadline = self._now + spec.timeout_value
-            queue[key] = ctx = Context(key, spec, deadline)
-            self.report.contexts_created += 1
-            if deadline < self._next_due:
-                self._next_due = deadline
+        if key in queue:
+            return _context_at(queue, key)
+        deadline = self._now + spec.timeout_value
+        queue[key] = ctx = Context(key, spec, deadline)
+        self.report.contexts_created += 1
+        if deadline < self._next_due:
+            self._next_due = deadline
         return ctx
 
     def add_to_context(self, ctx: Context, message: FlowRecord) -> Context:
@@ -221,22 +272,34 @@ class CorrelationEngine:
         report = self.report
         triggered: list[Context] = []
         next_due = math.inf
+        stand_in = self._stand_in
         for queue in self._queues.values():
-            due = 0
-            for ctx in queue.values():
-                if ctx.deadline > now:
-                    if ctx.deadline < next_due:
-                        next_due = ctx.deadline
-                    break
-                due += 1
-            if not due:
-                continue
-            report.contexts_expired += due
             popitem = queue.popitem
-            for _ in range(due):
-                ctx = popitem(last=False)[1]
-                if ctx.spec.trigger(ctx):
-                    triggered.append(ctx)
+            expired = 0
+            while queue:
+                key, entry = popitem(last=False)
+                lazy = entry.__class__ is tuple
+                deadline = entry[0] if lazy else entry.deadline
+                if deadline > now:
+                    # Not due: back to the front, where it came from.
+                    queue[key] = entry
+                    queue.move_to_end(key, last=False)
+                    if deadline < next_due:
+                        next_due = deadline
+                    break
+                expired += 1
+                if not lazy:
+                    if entry.spec.trigger(entry):
+                        triggered.append(entry)
+                    continue
+                spec = entry[1]
+                stand_in.key = key
+                stand_in.spec = spec
+                stand_in.deadline = deadline
+                stand_in.messages[0] = entry[2]
+                if spec.trigger(stand_in):
+                    triggered.append(_build(key, entry))
+            report.contexts_expired += expired
         self._next_due = next_due
         if not triggered:
             return fired

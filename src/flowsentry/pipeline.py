@@ -53,7 +53,6 @@ def build_scan_ruleset(config: EngineConfig, watchlist: Watchlist | None = None)
         if alert is not None:
             engine.emit(alert)
         if direction is Direction.INCOMING:
-            for key in derive_keys(record):
-                engine.touch(key, spec, record)
+            engine.add(derive_keys(record), spec, record)
 
     return Ruleset([Rule("flow", lambda record: True, [flow_action])])

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from flowsentry.engine import (
     AddToExpiredError,
     BatchClock,
+    Context,
     ContextSpec,
     CorrelationEngine,
     Rule,
@@ -265,20 +266,125 @@ def engine_state(engine):
     )
 )
 def test_touch_leaves_the_state_ensure_then_add_leaves(steps):
-    specs = {timeout: ContextSpec(timeout, lambda ctx: len(ctx.messages) >= 2, fires_key) for timeout in (300.0, 900.0)}
+    # The 300 s contexts fire on one message, the 900 s ones need two.
+    specs = {
+        300.0: ContextSpec(300.0, lambda ctx: len(ctx.messages) >= 1, fires_key),
+        900.0: ContextSpec(900.0, lambda ctx: len(ctx.messages) >= 2, fires_key),
+    }
     fused, split = CorrelationEngine(Ruleset([])), CorrelationEngine(Ruleset([]))
+    # Fed through add, which builds no Context for a one-message context.
+    added = CorrelationEngine(Ruleset([]))
     t = 50000
     for gap, key, timeout in steps:
         # Negative gaps step back; engine time stays at its high-water mark.
         t += gap
         record = make_record(time=t)
-        assert fused.advance(float(t)) == split.advance(float(t))
+        assert fused.advance(float(t)) == split.advance(float(t)) == added.advance(float(t))
         ctx = fused.touch(key, specs[timeout], record)
         assert touch_in_two_calls(split, key, specs[timeout], record).messages == ctx.messages
+        assert added.add((key,), specs[timeout], record) is None
         assert engine_state(fused) == engine_state(split)
+        assert added.queue_lengths() == fused.queue_lengths()
+        assert added.report == fused.report
     fused.finish()
     split.finish()
-    assert engine_state(fused) == engine_state(split)
+    added.finish()
+    assert engine_state(fused) == engine_state(split) == engine_state(added)
+    assert added.report == fused.report
+    assert added.live_contexts() == []
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.integers(-120, 400), st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3)),
+        max_size=60,
+    )
+)
+def test_add_with_several_keys_touches_each_in_order(steps):
+    spec = ContextSpec(300.0, lambda ctx: len(ctx.messages) >= 2, fires_key)
+    touched, added = CorrelationEngine(Ruleset([])), CorrelationEngine(Ruleset([]))
+    t = 50000
+    for gap, keys in steps:
+        t += gap
+        record = make_record(time=t)
+        assert touched.advance(float(t)) == added.advance(float(t))
+        for key in keys:
+            touched.touch(key, spec, record)
+        added.add(keys, spec, record)
+        assert added.queue_lengths() == touched.queue_lengths()
+        assert added.report == touched.report
+    # live_contexts() builds every context that is still one message.
+    live = [(ctx.key, ctx.deadline, ctx.messages) for ctx in added.live_contexts()]
+    assert live == [(ctx.key, ctx.deadline, ctx.messages) for ctx in touched.live_contexts()]
+    assert engine_state(added) == engine_state(touched)
+    touched.finish()
+    added.finish()
+    assert added.report == touched.report
+
+
+def test_expiring_one_message_contexts_fire_as_contexts_of_their_own():
+    spec = ContextSpec(10.0, trigger=lambda ctx: len(ctx.messages) == 1, on_fire=lambda ctx: ctx)
+    engine = CorrelationEngine(Ruleset([]))
+    records = {}
+    for now, key in enumerate(("c", "a", "b")):
+        records[key] = make_record(time=now, src=f"9.9.9.{now + 1}")
+        engine.advance(float(now))
+        engine.add((key,), spec, records[key])
+    fired = engine.advance(50.0)
+    assert [ctx.key for ctx in fired] == ["a", "b", "c"]
+    assert len({id(ctx) for ctx in fired}) == 3
+    for ctx in fired:
+        assert isinstance(ctx, Context)
+        assert ctx.spec is spec
+        assert ctx.messages == [records[ctx.key]]
+    assert [ctx.deadline for ctx in fired] == [11.0, 12.0, 10.0]
+    assert engine.report.alerts == fired
+
+
+def test_a_one_message_context_keeps_its_identity_and_place_once_asked_for():
+    spec = ContextSpec(10.0, trigger=lambda ctx: True, on_fire=fires_key)
+    engine = CorrelationEngine(Ruleset([]))
+    first, second = make_record(dport=1), make_record(dport=2)
+    engine.add(("k", "later"), spec, first)
+    ctx = engine.find_context("k")
+    assert ctx is engine.find_context("k")
+    assert ctx.key == "k" and ctx.spec is spec and ctx.deadline == 10.0 and ctx.messages == [first]
+    # Asking for it keeps its place ahead of the context created after it.
+    assert [c.key for c in engine.live_contexts()] == ["k", "later"]
+    assert engine.live_contexts()[0] is ctx
+    engine.advance(5.0)
+    assert engine.add_to_context(ctx, second) is ctx
+    assert engine.touch("k", spec, second) is ctx
+    assert ctx.messages == [first, second, second] and ctx.deadline == 15.0
+    assert engine.ensure_context("later", spec) is engine.find_context("later")
+    assert engine.advance(15.0) == [("k", 10.0, 3), ("later", 10.0, 1)]
+
+
+def test_a_scan_run_builds_a_context_only_for_what_fires(tmp_path, monkeypatch):
+    built = []
+    real_init = Context.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        real_init(self, *args, **kwargs)
+
+    records, _ = ingest(mixed_corpus(tmp_path), "batch")
+    config = EngineConfig(trigger_policy="min_messages", min_messages=2, date="2004/11/05")
+    ruleset = build_scan_ruleset(config, Watchlist())
+    monkeypatch.setattr(Context, "__init__", counting_init)
+    report = run_engine(records, ruleset)
+    # Fresh remote sources leave one-message contexts; under min_messages 2
+    # only those that fire ever get a second message.
+    assert report.contexts_fired >= 2
+    assert report.contexts_created > 100 * report.contexts_fired
+    assert len(built) <= report.contexts_fired + 1
+
+
+@pytest.mark.parametrize("timeout", [float("nan"), 0.0, -5.0])
+def test_context_spec_needs_a_positive_timeout(timeout):
+    with pytest.raises(ValueError, match="timeout_value must be positive"):
+        ContextSpec(timeout, trigger=lambda ctx: True, on_fire=fires_key)
 
 
 @pytest.mark.parametrize("touch", [CorrelationEngine.touch, touch_in_two_calls])
