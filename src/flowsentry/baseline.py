@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .ingest import FlowRecord, format_tod
-from .reporting import FwLine, SinkSet, format_fw_line, format_vuln_alert
+from .reporting import SinkSet, format_fw_line, format_vuln_alert
 from .scanrules import Direction, LocalNetworks, ScanAlert, ScanKind, VulnAlert, Watchlist, classify_direction
 
 PROGRESS_EVERY = 10000
@@ -83,14 +83,14 @@ def baseline_scan(
         if direction is Direction.OUTGOING:
             report.outgoing_count += 1
             if sinks is not None:
-                sinks.emit(FwLine(direction, format_fw_line(record, direction, date, tz)))
+                sinks.traffic(direction, format_fw_line(record, direction, date, tz))
             entry = watchlist.outgoing.get(record.source_port)
             if entry is not None:
                 vuln_out(format_vuln_alert(VulnAlert(entry, record)))
         else:
             report.incoming_count += 1
             if sinks is not None:
-                sinks.emit(FwLine(direction, format_fw_line(record, direction, date, tz)))
+                sinks.traffic(direction, format_fw_line(record, direction, date, tz))
             pair = prev is not None and record.source_ip == prev.source_ip and (
                 (record.dest_ip == prev.dest_ip and record.dest_port != prev.dest_port)
                 or (record.dest_port == prev.dest_port and record.dest_ip != prev.dest_ip)

@@ -134,15 +134,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         # boundaries and only the very end flushes.
         report = run_engine(chain.from_iterable(records for records, _ in streams), ruleset, sinks=sinks)
     per_log = [stats for _, stats in streams]
-    scans = sum(isinstance(a, ScanAlert) for a in report.alerts)
-    vulns = sum(isinstance(a, VulnAlert) for a in report.alerts)
     print(
         f"{sum(s.lines_read for s in per_log)} lines read, {sum(s.records_parsed for s in per_log)} parsed, "
         f"{sum(s.parse_failures for s in per_log)} malformed"
     )
     print(f"{report.contexts_created} contexts created, {report.contexts_fired} fired")
-    print(f"{scans} scan alerts -> {sinks.portscans_path}")
-    print(f"{vulns} vulnerability alerts -> {sinks.vulscans_path}")
+    print(f"{report.alert_counts[ScanAlert]} scan alerts -> {sinks.portscans_path}")
+    print(f"{report.alert_counts[VulnAlert]} vulnerability alerts -> {sinks.vulscans_path}")
     return _write_failure_status(sinks)
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import gc
 import math
 import time
-from collections import OrderedDict, defaultdict
+from collections import Counter, OrderedDict, defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Callable, Iterable
@@ -110,7 +110,9 @@ _context_key = attrgetter("key")
 
 @dataclass
 class EngineReport:
+    # Only the alerts no sink took; alert_counts counts every alert by class.
     alerts: list[Any] = field(default_factory=list)
+    alert_counts: Counter[type] = field(default_factory=Counter)
     messages_processed: int = 0
     contexts_created: int = 0
     contexts_expired: int = 0
@@ -150,10 +152,12 @@ class CorrelationEngine:
     then, in ruleset order, run action(engine, record) for each action of
     every rule whose matcher returns true for the record.
 
-    emit(alert) adds the alert to the report and, when sinks are attached,
-    forwards it to them in the same order. Output that is not an alert,
-    such as traffic lines, an action writes straight to engine.sinks; it is
-    None when the run has no sinks, and then nothing needs formatting.
+    emit(alert) counts the alert by class in report.alert_counts, forwards
+    it to the sinks when the run has any, and keeps it in report.alerts
+    only when sinks.emit(alert) returns false: when no open file or console
+    took it. Output that is not an alert, such as traffic lines, an action
+    writes straight to engine.sinks with sinks.traffic(direction, text); it
+    is None when the run has no sinks, and then nothing needs formatting.
 
     Engine time never steps back: it starts at 0 and advance() clamps it to
     the highest time seen so far. So within one timeout value, the order in
@@ -205,9 +209,11 @@ class CorrelationEngine:
         return next((_context_at(queue, key) for queue in self._queues.values() if key in queue), None)
 
     def emit(self, alert: Any) -> None:
-        self.report.alerts.append(alert)
-        if self.sinks is not None:
-            self.sinks.emit(alert)
+        report = self.report
+        report.alert_counts[alert.__class__] += 1
+        sinks = self.sinks
+        if sinks is None or not sinks.emit(alert):
+            report.alerts.append(alert)
 
     def add(self, keys: Iterable[Any], spec: ContextSpec, message: FlowRecord) -> None:
         """touch(key, spec, message) for each key, without building or
@@ -377,8 +383,10 @@ def run_follow(
     """Follow a growing log file, correlating as lines arrive.
 
     Engine time is the wall clock, and expiry is also checked on an idle
-    tick so contexts die on schedule when no traffic shows up. There is no
-    end-of-stream flush; the loop just stops when stop() turns true.
+    tick so contexts die on schedule when no traffic shows up. Sinks, when
+    given, are flushed once per poll, so each poll's output is in the files
+    before the next poll starts. There is no end-of-stream expiry; the loop
+    just stops when stop() turns true.
     """
     engine = CorrelationEngine(ruleset, clock=WallClock(now_fn), sinks=sinks)
     last_tick = now_fn()
@@ -391,6 +399,8 @@ def run_follow(
         if now - last_tick >= tick_interval:
             engine.advance(now)
             last_tick = now
+        if sinks is not None:
+            sinks.flush()
         return stop is not None and stop()
 
     records, stats = ingest(source, "follow", poll_interval=min(poll_interval, tick_interval), stop=tick_then_stop)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from .config import EngineConfig
 from .engine import Context, ContextSpec, CorrelationEngine, Rule, Ruleset
 from .ingest import FlowRecord
-from .reporting import FwLine, format_fw_line
+from .reporting import format_fw_line
 from .scanrules import (
     Direction,
     Watchlist,
@@ -15,11 +15,6 @@ from .scanrules import (
     scan_alert,
     trigger_holds,
 )
-
-# Builds a named tuple from a ready tuple of its fields without the Python
-# frame of the class's generated __new__; called once per record.
-_new_tuple = tuple.__new__
-
 
 def build_scan_ruleset(config: EngineConfig, watchlist: Watchlist | None = None) -> Ruleset:
     """One rule over the flow grammar. Its action runs the per-record work
@@ -48,7 +43,7 @@ def build_scan_ruleset(config: EngineConfig, watchlist: Watchlist | None = None)
         direction = classify_direction(record, nets)
         sinks = engine.sinks
         if sinks is not None:
-            sinks.emit(_new_tuple(FwLine, (direction, format_fw_line(record, direction, date, tz))))
+            sinks.traffic(direction, format_fw_line(record, direction, date, tz))
         alert = check_watchlist(record, direction, watchlist)
         if alert is not None:
             engine.emit(alert)

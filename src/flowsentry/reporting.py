@@ -43,6 +43,10 @@ class SinkSet:
     """Where engine output goes. Any path may be None (that stream is
     dropped); console echoes scan alerts to stdout. A SinkSet has one
     producer: every write comes from the thread that runs the engine.
+
+    Files are buffered: flush() pushes them out (run_follow calls it once
+    per poll). Failed writes, flushes and closes are counted in
+    write_failures, never raised.
     """
 
     def __init__(
@@ -79,11 +83,29 @@ class SinkSet:
             self._open = True
         return self
 
-    def close(self) -> None:
+    def flush(self) -> None:
+        """Flush every open file, and stdout when the console is on."""
         for handle in self._handles.values():
-            handle.close()
+            try:
+                handle.flush()
+            except OSError:
+                self.write_failures += 1
+        if self.console:
+            try:
+                sys.stdout.flush()
+            except OSError:
+                self.write_failures += 1
+
+    def close(self) -> None:
+        """Close every file, even if one fails (closing flushes it), then flush()."""
+        for handle in self._handles.values():
+            try:
+                handle.close()
+            except OSError:
+                self.write_failures += 1
         self._handles.clear()
         self._open = False
+        self.flush()
 
     def __enter__(self) -> "SinkSet":
         return self.open()
@@ -91,16 +113,16 @@ class SinkSet:
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
-    def _write(self, name: str, text: str) -> None:
-        """Write and flush text, counting a failure instead of raising."""
+    def _write(self, name: str, text: str) -> bool:
+        """Write text to the named file if it is open; True when it is."""
         handle = self._handles.get(name)
         if handle is None:
-            return
+            return False
         try:
             handle.write(text)
-            handle.flush()
         except OSError:
             self.write_failures += 1
+        return True
 
     def write_portscans(self, text: str) -> None:
         self._write("portscans", text + "\n")
@@ -108,20 +130,28 @@ class SinkSet:
     def write_vulscans(self, text: str) -> None:
         self._write("vulscans", text + "\n")
 
-    def emit(self, item: Any) -> None:
-        """Route one alert or traffic line to its destinations, in call order."""
+    def traffic(self, direction: Direction, text: str) -> None:
+        """Write one firewall-style traffic line to its direction's file."""
+        handle = self._handles.get("outgoing" if direction is Direction.OUTGOING else "incoming")
+        if handle is not None:
+            try:
+                handle.write(text + "\n")
+            except OSError:
+                self.write_failures += 1
+
+    def emit(self, item: Any) -> bool:
+        """Route one alert or traffic line to its destinations. True when an
+        open file or the console took an alert (even if the write failed),
+        so the caller need not keep it; False for a traffic line."""
         if isinstance(item, FwLine):
-            handle = self._handles.get("outgoing" if item.direction is Direction.OUTGOING else "incoming")
-            if handle is not None:
-                try:
-                    handle.write(item.text + "\n")
-                except OSError:
-                    self.write_failures += 1
-        elif isinstance(item, ScanAlert):
-            block = format_scan_alert(item)
-            self._write("portscans", block + "\n")
+            self.traffic(item.direction, item.text)
+            return False
+        if isinstance(item, ScanAlert):
+            block = format_scan_alert(item) + "\n"
+            taken = self._write("portscans", block)
             if self.console:
-                sys.stdout.write(block + "\n")
-                sys.stdout.flush()
-        elif isinstance(item, VulnAlert):
-            self._write("vulscans", format_vuln_alert(item) + "\n")
+                sys.stdout.write(block)
+            return taken or self.console
+        if isinstance(item, VulnAlert):
+            return self._write("vulscans", format_vuln_alert(item) + "\n")
+        return False

@@ -8,7 +8,7 @@ import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .ingest import FlowRecord, format_tod
 
@@ -46,8 +46,9 @@ class WatchlistEntry:
     direction: str  # "in" or "out"
 
 
-@dataclass(frozen=True)
-class ScanAlert:
+class ScanAlert(NamedTuple):
+    """One fired scan context, built in one step as an immutable tuple."""
+
     kind: ScanKind
     remote_ip: str
     fixed: str | int
@@ -160,18 +161,31 @@ def trigger_holds(ctx: "Context", policy: TriggerPolicy) -> bool:
     return count_distinct_targets(ctx) >= policy.min_messages
 
 
+# As in ingest: a named tuple from a ready tuple of its fields, without the
+# Python frame of the class's __new__; called once per fired context.
+_new_tuple = tuple.__new__
+
+
 def scan_alert(ctx: "Context") -> ScanAlert:
     """Build the alert for a scan context whose trigger already held."""
     kind, remote_ip, fixed = ctx.key
     messages = ctx.messages
-    return ScanAlert(
-        kind=kind,
-        remote_ip=remote_ip,
-        fixed=int(fixed) if kind is ScanKind.HORIZONTAL else fixed,
-        evidence=tuple(evidence_line(m) for m in messages),
-        first_seen=format_tod(messages[0].event_time),
-        last_seen=format_tod(messages[-1].event_time),
-        distinct_targets=count_distinct_targets(ctx),
+    if kind is ScanKind.VERTICAL:
+        distinct = len({m.dest_port for m in messages})
+    else:
+        fixed = int(fixed)
+        distinct = len({m.dest_ip for m in messages})
+    return _new_tuple(
+        ScanAlert,
+        (
+            kind,
+            remote_ip,
+            fixed,
+            tuple(map(evidence_line, messages)),
+            format_tod(messages[0].event_time),
+            format_tod(messages[-1].event_time),
+            distinct,
+        ),
     )
 
 

@@ -1,4 +1,5 @@
-"""Shared test helpers: compact record and line factories."""
+"""Shared test helpers: compact record and line factories, and a failing
+sink file."""
 
 from flowsentry.ingest import FlowRecord, Protocol
 
@@ -49,3 +50,25 @@ def slow_probe_records():
 
 def slow_probe_lines():
     return [make_line(time=t, dst=f"10.0.0.{i + 1}") for i, t in enumerate(PROBE_TIMES)]
+
+
+class FailingFlushHandle:
+    """A sink file whose writes buffer and whose flush fails, as when a
+    full disk only shows once buffered output is pushed out. Like a real
+    file, close() flushes first and is closed afterwards either way."""
+
+    def __init__(self):
+        self.buffered = []
+        self.closed = False
+
+    def write(self, text):
+        self.buffered.append(text)
+
+    def flush(self):
+        raise OSError(28, "No space left on device")
+
+    def close(self):
+        try:
+            self.flush()
+        finally:
+            self.closed = True

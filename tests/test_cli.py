@@ -12,9 +12,9 @@ from flowsentry import cli
 from flowsentry.cli import OUTPUT_DIR_ENV, build_parser, run_command
 from flowsentry.generator import GenConfig, ScanSpec, generate
 from flowsentry.reporting import SinkSet
-from flowsentry.scanrules import ScanKind
+from flowsentry.scanrules import ScanAlert, ScanKind, VulnAlert
 
-from conftest import make_line, slow_probe_lines
+from conftest import FailingFlushHandle, make_line, slow_probe_lines
 
 
 @pytest.fixture(autouse=True)
@@ -176,6 +176,50 @@ def test_baseline_reports_sink_write_failures_and_exits_2(tmp_path, capsys, monk
     assert "warning: 4 output writes failed" in captured.err
     # The summary still reports the whole run.
     assert "1 Portscans detected" in captured.out
+
+
+def test_analyze_reports_a_failed_final_flush_and_still_prints_the_summary(tmp_path, capsys, monkeypatch):
+    real_open = SinkSet.open
+    handles = []
+
+    def open_with_failing_flush(self):
+        real_open(self)
+        self._handles["portscans"].close()
+        self._handles["portscans"] = FailingFlushHandle()
+        handles.extend(self._handles.values())
+        return self
+
+    monkeypatch.setattr(SinkSet, "open", open_with_failing_flush)
+    log = write_corpus(tmp_path)
+    assert run_command(analyze_args(log, tmp_path / "out", "--timeout", "900", "--no-console")) == 2
+    captured = capsys.readouterr()
+    assert "warning: 1 output writes failed" in captured.err
+    assert "1 scan alerts ->" in captured.out
+    assert len(handles) == 4
+    assert all(handle.closed for handle in handles)
+
+
+def test_analyze_keeps_no_alerts_and_summarises_the_counts(tmp_path, capsys, monkeypatch):
+    reports = []
+    real_run_engine = cli.run_engine
+
+    def recording_run_engine(*args, **kwargs):
+        reports.append(real_run_engine(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run_engine", recording_run_engine)
+    log = write_corpus(tmp_path)
+    out = tmp_path / "out"
+    assert run_command(analyze_args(log, out, "--timeout", "900", "--no-console")) == 0
+    (report,) = reports
+    assert report.alerts == []
+    scans = (out / "portscans_flows.log").read_text(encoding="utf-8").count(" scan:\n")
+    vulns = (out / "vulscans_flows.log").read_text(encoding="utf-8").count("Potential Vulnerability")
+    assert scans > 0 and vulns > 0
+    assert dict(report.alert_counts) == {ScanAlert: scans, VulnAlert: vulns}
+    summary = capsys.readouterr().out
+    assert f"\n{scans} scan alerts -> " in summary
+    assert f"\n{vulns} vulnerability alerts -> " in summary
 
 
 def test_follow_reports_sink_write_failures_and_exits_2(tmp_path, capsys, monkeypatch):

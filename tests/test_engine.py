@@ -2,6 +2,7 @@
 
 import gc
 import logging
+from collections import Counter
 import threading
 import time
 
@@ -25,7 +26,7 @@ from flowsentry.generator import GenConfig, ScanSpec, generate
 from flowsentry.ingest import Protocol, ingest
 from flowsentry.pipeline import build_scan_ruleset
 from flowsentry.reporting import SinkSet
-from flowsentry.scanrules import ScanKind, VulnAlert, Watchlist, WatchlistEntry
+from flowsentry.scanrules import ScanAlert, ScanKind, VulnAlert, Watchlist, WatchlistEntry
 
 from conftest import make_line, make_record, slow_probe_records, tod
 
@@ -53,6 +54,9 @@ class SpySinks:
 
     def emit(self, item):
         self.items.append(item)
+
+    def traffic(self, direction, text):
+        self.items.append((direction, text))
 
 
 def test_rule_actions_run_only_when_the_matcher_holds():
@@ -596,8 +600,86 @@ def test_run_engine_leaves_no_garbage_cycles(tmp_path):
             gc.enable()
     assert stats.parse_failures > 0
     assert report.contexts_fired >= 2
-    assert any(isinstance(alert, VulnAlert) for alert in report.alerts)
+    assert report.alert_counts[VulnAlert] > 0
     assert unreachable == 0
+
+
+@pytest.mark.parametrize("make_sinks", [lambda: None, SinkSet.null, SpySinks], ids=["none", "null", "spy"])
+def test_a_run_without_files_keeps_every_alert(tmp_path, make_sinks):
+    log = mixed_corpus(tmp_path)
+    kept = run_engine(ingest(log, "batch")[0], scan_ruleset()).alerts
+    report = run_engine(ingest(log, "batch")[0], scan_ruleset(), sinks=make_sinks())
+    assert report.alerts == kept
+    assert report.alert_counts == Counter(alert.__class__ for alert in kept)
+    assert report.alert_counts[ScanAlert] >= 2
+    assert report.alert_counts[VulnAlert] > 0
+
+
+def test_a_console_only_run_keeps_just_the_alerts_the_console_skips(tmp_path, capsys):
+    log = mixed_corpus(tmp_path)
+    report = run_engine(ingest(log, "batch")[0], scan_ruleset(), sinks=SinkSet(console=True))
+    # The console echoes scan alerts; vulnerability alerts go to a file only.
+    assert report.alerts
+    assert all(isinstance(alert, VulnAlert) for alert in report.alerts)
+    assert len(report.alerts) == report.alert_counts[VulnAlert]
+    assert capsys.readouterr().out.count(" scan:\n") == report.alert_counts[ScanAlert] >= 2
+
+
+SINK_NAMES = ("incoming", "outgoing", "portscans", "vulscans")
+
+
+def follow_scans(tmp_path, lines, timeout=60.0):
+    """Follow a log holding lines under a clock that stays at 0 for the
+    first poll and then jumps past timeout. Returns the report and the text
+    of the four output files as stop() saw it before each poll."""
+    path = tmp_path / "live.log"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = EngineConfig(timeout_value=timeout, date="2004/11/05")
+    ruleset = build_scan_ruleset(config, Watchlist([WatchlistEntry("NetBus", 12346, "in")]))
+    sinks = SinkSet(*(str(tmp_path / name) for name in SINK_NAMES))
+    clock = [0.0]
+    seen = []
+
+    def stop():
+        seen.append({name: (tmp_path / name).read_text(encoding="utf-8") for name in SINK_NAMES})
+        if len(seen) == 2:
+            clock[0] = 10 * timeout
+        return len(seen) == 3
+
+    with sinks:
+        report, _ = run_follow(
+            str(path), ruleset, sinks=sinks, tick_interval=1.0, poll_interval=0.01, stop=stop, now_fn=lambda: clock[0]
+        )
+    return report, seen
+
+
+def test_follow_output_reaches_every_file_once_per_poll(tmp_path):
+    lines = [
+        make_line(time="14:00:00", dst="10.0.0.1"),
+        make_line(time="14:00:01", dst="10.0.0.2"),
+        make_line(time="14:00:02", src="10.0.0.5", sport="40000", dst="1.2.3.4", dport="80"),
+    ]
+    report, (before, first_poll, tick) = follow_scans(tmp_path, lines)
+    assert set(before.values()) == {""}
+    # The poll's traffic lines and vulnerability alerts are in the files
+    # before the next poll; the scan contexts are still open.
+    assert first_poll["incoming"].count("FWIN,") == 2
+    assert first_poll["outgoing"].count("FWOUT,") == 1
+    assert first_poll["vulscans"].count("Potential Vulnerability: NetBus.") == 2
+    assert first_poll["portscans"] == ""
+    # The tick expires them, and the alert is in the file before the next poll.
+    assert tick["portscans"].startswith("Horizontal scan:\n")
+    assert report.contexts_fired == 1
+
+
+def test_follow_with_files_keeps_no_alerts(tmp_path):
+    sources = [f"5.5.{i // 200}.{i % 200 + 1}" for i in range(600)]
+    lines = [make_line(src=src, dst=f"10.0.0.{j + 1}") for src in sources for j in range(2)]
+    report, (_, _, tick) = follow_scans(tmp_path, lines)
+    assert report.alert_counts == {VulnAlert: 1200, ScanAlert: 600}
+    assert report.alerts == []
+    assert tick["vulscans"].count("Potential Vulnerability") == 1200
+    assert tick["portscans"].count("Horizontal scan:") == 600
 
 
 def failing_records(records, after):

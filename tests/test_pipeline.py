@@ -23,6 +23,9 @@ class SpySinks:
     def emit(self, item):
         self.items.append(item)
 
+    def traffic(self, direction, text):
+        self.items.append(FwLine(direction, text))
+
 
 def test_evidence_line_golden():
     assert evidence_line(make_record()) == "5.5.5.10:3434 to 10.0.0.7:12346 at 14:03:33"

@@ -15,7 +15,7 @@ from flowsentry.reporting import (
 )
 from flowsentry.scanrules import Direction, ScanAlert, ScanKind, VulnAlert, WatchlistEntry
 
-from conftest import make_record
+from conftest import FailingFlushHandle, make_record
 
 DATE = "2004/11/05"
 TZ = "-5:00"
@@ -149,3 +149,68 @@ def test_same_emissions_give_identical_bytes(tmp_path):
         return [(p.name, p.read_bytes()) for p in sorted(out_dir.iterdir())]
 
     assert run(tmp_path / "first") == run(tmp_path / "second")
+
+
+def test_emit_says_whether_a_file_or_the_console_took_the_alert(tmp_path, capsys):
+    scan = horizontal_alert()
+    vuln = VulnAlert(WatchlistEntry("NetBus", 12346, "in"), make_record())
+    with SinkSet(portscans_path=str(tmp_path / "p")) as sinks:
+        assert sinks.emit(scan) is True
+        assert sinks.emit(vuln) is False
+    with SinkSet(console=True) as sinks:
+        assert sinks.emit(scan) is True
+        assert sinks.emit(vuln) is False
+    with SinkSet.null() as sinks:
+        assert sinks.emit(scan) is False
+        assert sinks.emit(vuln) is False
+    assert capsys.readouterr().out == format_scan_alert(scan) + "\n"
+
+
+def test_traffic_writes_what_emit_of_a_fw_line_writes(tmp_path):
+    def run(out_dir, write):
+        out_dir.mkdir()
+        with SinkSet(str(out_dir / "in"), str(out_dir / "out")) as sinks:
+            write(sinks, Direction.INCOMING, "in-1")
+            write(sinks, Direction.OUTGOING, "out-1")
+        return [(p.name, p.read_bytes()) for p in sorted(out_dir.iterdir())]
+
+    by_traffic = run(tmp_path / "traffic", lambda sinks, d, text: sinks.traffic(d, text))
+    by_emit = run(tmp_path / "emit", lambda sinks, d, text: sinks.emit(FwLine(d, text)))
+    assert by_traffic == by_emit == [("in", b"in-1\n"), ("out", b"out-1\n")]
+
+
+def test_close_counts_a_failed_flush_and_closes_every_file(tmp_path, monkeypatch):
+    opened = []
+
+    def open_with_failing_portscans(path, *args, **kwargs):
+        handle = FailingFlushHandle() if path.endswith("portscans") else builtins.open(path, *args, **kwargs)
+        opened.append(handle)
+        return handle
+
+    monkeypatch.setattr(reporting, "open", open_with_failing_portscans, raising=False)
+    names = ("incoming", "outgoing", "portscans", "vulscans")
+    sinks = SinkSet(*(str(tmp_path / name) for name in names))
+    with sinks:
+        sinks.traffic(Direction.INCOMING, "in-1")
+        sinks.emit(horizontal_alert())
+        sinks.emit(VulnAlert(WatchlistEntry("NetBus", 12346, "in"), make_record()))
+    assert sinks.write_failures == 1
+    assert len(opened) == 4
+    assert all(handle.closed for handle in opened)
+    # The files after the failing one are still written out.
+    assert (tmp_path / "incoming").read_text(encoding="utf-8") == "in-1\n"
+    assert (tmp_path / "vulscans").read_text(encoding="utf-8").startswith("Potential Vulnerability: NetBus.\n")
+
+
+def test_flush_counts_failures_and_keeps_going(tmp_path, monkeypatch):
+    def open_with_failing_incoming(path, *args, **kwargs):
+        return FailingFlushHandle() if path.endswith("incoming") else builtins.open(path, *args, **kwargs)
+
+    monkeypatch.setattr(reporting, "open", open_with_failing_incoming, raising=False)
+    with SinkSet(str(tmp_path / "incoming"), str(tmp_path / "outgoing")) as sinks:
+        sinks.traffic(Direction.INCOMING, "in-1")
+        sinks.traffic(Direction.OUTGOING, "out-1")
+        sinks.flush()
+        assert sinks.write_failures == 1
+        assert (tmp_path / "outgoing").read_text(encoding="utf-8") == "out-1\n"
+    assert sinks.write_failures == 2
