@@ -3,7 +3,7 @@
 import importlib
 
 from .ingest import FlowRecord, IngestStats, ParseError, Protocol, StreamReset, format_line, ingest, open_stream, parse_line
-from .engine import AddToExpiredError, Context, ContextSpec, CorrelationEngine, EngineReport, Rule, Ruleset, run_engine
+from .engine import Context, ContextSpec, CorrelationEngine, EngineReport, Rule, Ruleset, run_engine
 from .scanrules import (
     Direction,
     ScanAlert,
@@ -16,7 +16,6 @@ from .scanrules import (
     classify_direction,
     derive_keys,
     load_watchlist,
-    scan_trigger,
 )
 from .reporting import FwLine, SinkSet, format_fw_line, format_scan_alert, format_vuln_alert
 from .config import ConfigError, EngineConfig

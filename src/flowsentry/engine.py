@@ -22,11 +22,6 @@ _HALF_DAY = 43200
 _DAY = 86400
 
 
-class AddToExpiredError(RuntimeError):
-    """Adding a message to a context that already expired is a sequencing
-    bug in the caller, never a recoverable condition."""
-
-
 @dataclass
 class Rule:
     id: str
@@ -73,11 +68,11 @@ class Context:
     once; spec.on_fire runs only if it holds, and the context is gone
     either way.
 
-    The engine keeps a context that holds one message as a plain
+    A context holds at least one message from the moment engine.add
+    creates it. The engine keeps one that holds a single message as a plain
     (deadline, spec, message) entry and builds the Context when a second
-    message arrives or when a caller asks for it (touch, ensure_context,
-    find_context, live_contexts); from then on the same object stays in
-    the store until it expires.
+    message arrives or when find_context or live_contexts asks for it; from
+    then on the same object stays in the store until it expires.
     """
 
     __slots__ = ("key", "spec", "deadline", "messages")
@@ -152,12 +147,13 @@ class CorrelationEngine:
     then, in ruleset order, run action(engine, record) for each action of
     every rule whose matcher returns true for the record.
 
-    emit(alert) counts the alert by class in report.alert_counts, forwards
-    it to the sinks when the run has any, and keeps it in report.alerts
-    only when sinks.emit(alert) returns false: when no open file or console
-    took it. Output that is not an alert, such as traffic lines, an action
-    writes straight to engine.sinks with sinks.traffic(direction, text); it
-    is None when the run has no sinks, and then nothing needs formatting.
+    emit(alert) is the one way out for every alert: it counts it by class
+    in report.alert_counts, forwards it to the sinks when the run has any,
+    and keeps it in report.alerts only when sinks.emit(alert) returns
+    false: when no open file or console took it. Output that is not an
+    alert, such as traffic lines, an action writes straight to engine.sinks
+    with sinks.traffic(direction, text); it is None when the run has no
+    sinks, and then nothing needs formatting.
 
     Engine time never steps back: it starts at 0 and advance() clamps it to
     the highest time seen so far. So within one timeout value, the order in
@@ -168,11 +164,10 @@ class CorrelationEngine:
     key and a timeout share the context, rules with different timeouts
     do not.
 
-    add(keys, spec, message) is the store-writing step and returns nothing,
+    add(keys, spec, message) is the only store write and returns nothing,
     so a context that only ever holds one message is never built as a
-    Context; touch(key, spec, message) does the same for one key and
-    returns the Context. find_context and live_contexts() build the
-    contexts they return.
+    Context. find_context, live_contexts() and queue_lengths() are the
+    reads; the first two build the contexts they return.
     """
 
     def __init__(self, ruleset: Ruleset, *, clock: Any = None, sinks: Any = None):
@@ -216,8 +211,8 @@ class CorrelationEngine:
             report.alerts.append(alert)
 
     def add(self, keys: Iterable[Any], spec: ContextSpec, message: FlowRecord) -> None:
-        """touch(key, spec, message) for each key, without building or
-        returning a Context for a key whose context holds one message."""
+        """For each key, add message to its live context under spec's
+        timeout value and slide its deadline, or create the context."""
         timeout = spec.timeout_value
         queue = self._queues[timeout]
         deadline = self._now + timeout
@@ -239,42 +234,17 @@ class CorrelationEngine:
             if deadline < self._next_due:
                 self._next_due = deadline
 
-    def touch(self, key: Any, spec: ContextSpec, message: FlowRecord) -> Context:
-        """ensure_context(key, spec) then add_to_context(ctx, message), in one step."""
-        self.add((key,), spec, message)
-        return _context_at(self._queues[spec.timeout_value], key)
-
-    def ensure_context(self, key: Any, spec: ContextSpec) -> Context:
-        """Return the live context for key under spec's timeout value,
-        creating it from spec if absent."""
-        queue = self._queues[spec.timeout_value]
-        if key in queue:
-            return _context_at(queue, key)
-        deadline = self._now + spec.timeout_value
-        queue[key] = ctx = Context(key, spec, deadline)
-        self.report.contexts_created += 1
-        if deadline < self._next_due:
-            self._next_due = deadline
-        return ctx
-
-    def add_to_context(self, ctx: Context, message: FlowRecord) -> Context:
-        """Append a message and slide the deadline to now + timeout_value."""
-        if self._queues[ctx.spec.timeout_value].get(ctx.key) is not ctx:
-            raise AddToExpiredError(f"context {ctx.key!r} already expired")
-        return self.touch(ctx.key, ctx.spec, message)
-
-    def expire_contexts(self, now: float) -> list[Any]:
+    def expire_contexts(self, now: float) -> None:
         """Remove every context whose deadline is <= now, firing triggers.
 
         Each due context leaves its queue from the front, in deadline order,
         and its trigger is evaluated as it leaves. Only then, with every due
         context removed, do the ones whose trigger held fire, in key order
         whatever their deadlines, so runs are reproducible regardless of
-        store internals.
+        store internals. Their alerts leave through emit.
         """
-        fired: list[Any] = []
         if now < self._next_due:
-            return fired
+            return
         report = self.report
         triggered: list[Context] = []
         next_due = math.inf
@@ -308,28 +278,25 @@ class CorrelationEngine:
             report.contexts_expired += expired
         self._next_due = next_due
         if not triggered:
-            return fired
+            return
         if len(triggered) > 1:
             triggered.sort(key=_context_key)
         report.contexts_fired += len(triggered)
         for ctx in triggered:
             alert = ctx.spec.on_fire(ctx)
             if alert is not None:
-                fired.append(alert)
                 self.emit(alert)
-        return fired
 
-    def advance(self, now: float) -> list[Any]:
+    def advance(self, now: float) -> None:
         """Move engine time to now, or keep it where it is if now is
         earlier, and expire what is due."""
         if now > self._now:
             self._now = now
-        return self.expire_contexts(self._now)
+        self.expire_contexts(self._now)
 
-    def process(self, record: FlowRecord, now: float | None = None) -> None:
-        # advance(), inlined: on most records nothing is due yet.
-        if now is None:
-            now = self.clock.now_for(record)
+    def process(self, record: FlowRecord) -> None:
+        # advance(clock time), inlined: on most records nothing is due yet.
+        now = self.clock.now_for(record)
         if now > self._now:
             self._now = now
         if self._now >= self._next_due:

@@ -46,7 +46,8 @@ class SinkSet:
 
     Files are buffered: flush() pushes them out (run_follow calls it once
     per poll). Failed writes, flushes and closes are counted in
-    write_failures, never raised.
+    write_failures, never raised; a failed console write, such as one to a
+    closed pipe, also turns the console off.
     """
 
     def __init__(
@@ -141,7 +142,7 @@ class SinkSet:
 
     def emit(self, item: Any) -> bool:
         """Route one alert or traffic line to its destinations. True when an
-        open file or the console took an alert (even if the write failed),
+        open file or the console took an alert (even if a file write failed),
         so the caller need not keep it; False for a traffic line."""
         if isinstance(item, FwLine):
             self.traffic(item.direction, item.text)
@@ -150,7 +151,11 @@ class SinkSet:
             block = format_scan_alert(item) + "\n"
             taken = self._write("portscans", block)
             if self.console:
-                sys.stdout.write(block)
+                try:
+                    sys.stdout.write(block)
+                except OSError:
+                    self.write_failures += 1
+                    self.console = False
             return taken or self.console
         if isinstance(item, VulnAlert):
             return self._write("vulscans", format_vuln_alert(item) + "\n")

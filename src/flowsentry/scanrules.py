@@ -170,29 +170,18 @@ def scan_alert(ctx: "Context") -> ScanAlert:
     """Build the alert for a scan context whose trigger already held."""
     kind, remote_ip, fixed = ctx.key
     messages = ctx.messages
-    if kind is ScanKind.VERTICAL:
-        distinct = len({m.dest_port for m in messages})
-    else:
-        fixed = int(fixed)
-        distinct = len({m.dest_ip for m in messages})
     return _new_tuple(
         ScanAlert,
         (
             kind,
             remote_ip,
-            fixed,
+            fixed if kind is ScanKind.VERTICAL else int(fixed),
             tuple(map(evidence_line, messages)),
             format_tod(messages[0].event_time),
             format_tod(messages[-1].event_time),
-            distinct,
+            count_distinct_targets(ctx),
         ),
     )
-
-
-def scan_trigger(ctx: "Context", policy: TriggerPolicy) -> ScanAlert | None:
-    """Build the alert for an expiring scan context, or None when it stays
-    below the policy threshold (a lone probe never alerts)."""
-    return scan_alert(ctx) if trigger_holds(ctx, policy) else None
 
 
 def load_watchlist(path: str) -> tuple[list[WatchlistEntry], int]:

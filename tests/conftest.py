@@ -1,5 +1,5 @@
-"""Shared test helpers: compact record and line factories, and a failing
-sink file."""
+"""Shared test helpers: compact record and line factories, a failing sink
+file, and a stdout whose reader has gone."""
 
 from flowsentry.ingest import FlowRecord, Protocol
 
@@ -72,3 +72,20 @@ class FailingFlushHandle:
             self.flush()
         finally:
             self.closed = True
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone, as under `| head -n 1`: every write
+    and flush raises BrokenPipeError. Counts the attempts."""
+
+    def __init__(self):
+        self.writes = 0
+        self.flushes = 0
+
+    def write(self, text):
+        self.writes += 1
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        self.flushes += 1
+        raise BrokenPipeError(32, "Broken pipe")

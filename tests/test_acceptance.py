@@ -33,7 +33,7 @@ from flowsentry.scanrules import (
     WatchlistEntry,
     classify_direction,
     derive_keys,
-    scan_trigger,
+    scan_alert,
     trigger_holds,
 )
 
@@ -174,8 +174,10 @@ def test_criterion_4_context_invariants_under_fuzzing():
             fired = []
 
             def fire(ctx):
+                # Only a context whose trigger held fires.
+                assert trigger_holds(ctx, policy)
                 fired.append(ctx)
-                return scan_trigger(ctx, policy)
+                return scan_alert(ctx)
 
             def holds(ctx):
                 return trigger_holds(ctx, policy)
@@ -185,8 +187,7 @@ def test_criterion_4_context_invariants_under_fuzzing():
             def action(engine, record):
                 if classify_direction(record, nets) is Direction.OUTGOING:
                     return
-                for key in derive_keys(record):
-                    engine.add_to_context(engine.ensure_context(key, spec), record)
+                engine.add(derive_keys(record), spec, record)
 
             engine = CorrelationEngine(Ruleset([Rule("scan", lambda r: True, [action])]))
             for record in records:
@@ -232,7 +233,7 @@ def test_criterion_5_single_probes_never_alert():
                             key = derive_keys(probe)[0 if kind is ScanKind.VERTICAL else 1]
                             ctx = Context(key, ContextSpec(900.0, trigger=lambda c: True, on_fire=lambda c: None))
                             ctx.messages.extend(records)
-                            alert = scan_trigger(ctx, policy)
+                            alert = scan_alert(ctx) if trigger_holds(ctx, policy) else None
                             should_fire = size > 0 and (size if mode == "min_messages" else distinct) >= threshold
                             assert (alert is not None) == should_fire
                             if size <= 1:

@@ -14,7 +14,7 @@ from flowsentry.generator import GenConfig, ScanSpec, generate
 from flowsentry.reporting import SinkSet
 from flowsentry.scanrules import ScanAlert, ScanKind, VulnAlert
 
-from conftest import FailingFlushHandle, make_line, slow_probe_lines
+from conftest import ClosedPipe, FailingFlushHandle, make_line, slow_probe_lines
 
 
 @pytest.fixture(autouse=True)
@@ -176,6 +176,31 @@ def test_baseline_reports_sink_write_failures_and_exits_2(tmp_path, capsys, monk
     assert "warning: 4 output writes failed" in captured.err
     # The summary still reports the whole run.
     assert "1 Portscans detected" in captured.out
+
+
+def test_analyze_into_a_closed_pipe_writes_every_file_and_exits_2(tmp_path, capsys, monkeypatch):
+    # Two scans, the first of which fires while traffic is still coming in.
+    lines = [
+        make_line(time="14:00:00", dst="10.0.0.1"),
+        make_line(time="14:00:01", dst="10.0.0.2"),
+        make_line(time="14:05:00", src="6.6.6.6", dst="10.0.0.1", dport="80"),
+        make_line(time="14:05:01", src="6.6.6.6", dst="10.0.0.1", dport="81"),
+    ]
+    log = tmp_path / "flows.log"
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run_command(analyze_args(log, tmp_path / "quiet", "--timeout", "60", "--no-console")) == 0
+    capsys.readouterr()
+
+    # As in `flowsentry analyze LOG | head -n 1`: the reader has gone.
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", ClosedPipe())
+        assert run_command(analyze_args(log, tmp_path / "piped", "--timeout", "60")) == 2
+    assert "Broken pipe" in capsys.readouterr().err
+    for name in ("incoming", "outgoing", "portscans", "vulscans"):
+        quiet = (tmp_path / "quiet" / f"{name}_{log.name}").read_bytes()
+        assert (tmp_path / "piped" / f"{name}_{log.name}").read_bytes() == quiet
+    portscans = (tmp_path / "quiet" / f"portscans_{log.name}").read_text(encoding="utf-8")
+    assert portscans.startswith("Horizontal scan:\n") and "Vertical scan:\n" in portscans
 
 
 def test_analyze_reports_a_failed_final_flush_and_still_prints_the_summary(tmp_path, capsys, monkeypatch):

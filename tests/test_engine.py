@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowsentry.engine import (
-    AddToExpiredError,
     BatchClock,
     Context,
     ContextSpec,
@@ -43,9 +42,16 @@ def count_rule(timeout=900.0, threshold=2, key_fn=lambda r: r.source_ip):
     spec = ContextSpec(timeout, holds, fire)
 
     def action(engine, record):
-        engine.add_to_context(engine.ensure_context(key_fn(record), spec), record)
+        engine.add((key_fn(record),), spec, record)
 
     return Rule("count-by-source", lambda record: True, [action])
+
+
+def fired_by_advance(engine, now):
+    """engine.advance(now), returning the alerts it fired."""
+    seen = len(engine.report.alerts)
+    engine.advance(now)
+    return engine.report.alerts[seen:]
 
 
 class SpySinks:
@@ -92,7 +98,7 @@ def test_each_message_slides_the_deadline():
     assert ctx.deadline == tod("14:15:13") + 900
 
 
-def test_ensure_context_is_idempotent_while_live():
+def test_a_key_keeps_its_context_while_live():
     engine = CorrelationEngine(Ruleset([count_rule()]))
     engine.process(make_record())
     first = engine.find_context("5.5.5.10")
@@ -103,7 +109,7 @@ def test_ensure_context_is_idempotent_while_live():
 
 def test_expiry_is_exact_at_the_deadline():
     engine = CorrelationEngine(Ruleset([count_rule(timeout=10.0)]))
-    engine.process(make_record(), now=100.0)
+    engine.process(make_record(time=100))
     engine.advance(109.999)
     assert engine.find_context("5.5.5.10") is not None
     engine.advance(110.0)
@@ -113,42 +119,25 @@ def test_expiry_is_exact_at_the_deadline():
 
 def test_expired_key_gets_a_fresh_context():
     engine = CorrelationEngine(Ruleset([count_rule(timeout=10.0)]))
-    engine.process(make_record(), now=0.0)
-    engine.process(make_record(), now=50.0)
+    engine.process(make_record(time=0))
+    engine.process(make_record(time=50))
     assert engine.report.contexts_created == 2
     assert len(engine.find_context("5.5.5.10").messages) == 1
 
 
-def test_adding_to_an_expired_context_is_an_error():
-    engine = CorrelationEngine(Ruleset([count_rule(timeout=10.0)]))
-    engine.process(make_record(), now=0.0)
-    stale = engine.find_context("5.5.5.10")
-    engine.advance(100.0)
-    with pytest.raises(AddToExpiredError):
-        engine.add_to_context(stale, make_record())
-
-
 def test_single_message_context_expires_without_firing():
     engine = CorrelationEngine(Ruleset([count_rule(timeout=10.0, threshold=2)]))
-    engine.process(make_record(), now=0.0)
+    engine.process(make_record(time=0))
     engine.advance(100.0)
     assert engine.report.contexts_expired == 1
     assert engine.report.contexts_fired == 0
     assert engine.report.alerts == []
 
 
-def test_empty_context_expires_without_firing():
-    engine = CorrelationEngine(Ruleset([]))
-    engine.ensure_context("k", ContextSpec(5.0, trigger=lambda c: len(c.messages) >= 2, on_fire=lambda c: "x"))
-    engine.advance(100.0)
-    assert engine.report.contexts_expired == 1
-    assert engine.report.alerts == []
-
-
 def test_simultaneous_expiry_fires_in_key_order():
     engine = CorrelationEngine(Ruleset([count_rule(timeout=10.0, threshold=1)]))
     for src in ("9.9.9.2", "9.9.9.1", "9.9.9.3"):
-        engine.process(make_record(src=src), now=0.0)
+        engine.process(make_record(time=0, src=src))
     engine.advance(10.0)
     assert [key for key, _ in engine.report.alerts] == ["9.9.9.1", "9.9.9.2", "9.9.9.3"]
 
@@ -162,8 +151,8 @@ def test_one_advance_over_several_deadlines_fires_in_key_order():
             ]
         )
     )
-    for now, src in ((0.0, "9.9.9.3"), (1.0, "9.9.9.1"), (2.0, "9.9.9.2")):
-        engine.process(make_record(src=src), now=now)
+    for now, src in ((0, "9.9.9.3"), (1, "9.9.9.1"), (2, "9.9.9.2")):
+        engine.process(make_record(time=now, src=src))
     engine.advance(50.0)
     assert [key for key, _ in engine.report.alerts] == [
         "a-9.9.9.1", "a-9.9.9.2", "a-9.9.9.3", "b-9.9.9.1", "b-9.9.9.2", "b-9.9.9.3",
@@ -179,12 +168,12 @@ def test_rules_with_different_timeouts_expire_at_their_own_deadlines():
             ]
         )
     )
-    engine.process(make_record(src="9.9.9.1"), now=0.0)
-    engine.process(make_record(src="9.9.9.2"), now=5.0)
-    engine.process(make_record(src="9.9.9.1"), now=8.0)
+    engine.process(make_record(time=0, src="9.9.9.1"))
+    engine.process(make_record(time=5, src="9.9.9.2"))
+    engine.process(make_record(time=8, src="9.9.9.1"))
     expired = []
     for now in (14.999, 15.0, 17.999, 18.0, 34.999, 35.0, 37.999, 38.0):
-        expired.append([key for key, _ in engine.advance(now)])
+        expired.append([key for key, _ in fired_by_advance(engine, now)])
     assert expired == [[], ["short-9.9.9.2"], [], ["short-9.9.9.1"], [], ["long-9.9.9.2"], [], ["long-9.9.9.1"]]
     assert [size for _, size in engine.report.alerts] == [1, 2, 1, 2]
 
@@ -225,7 +214,7 @@ def test_queues_hold_exactly_the_live_contexts(steps):
     t = 50000
     for gap, src, port in steps:
         t += gap
-        engine.process(make_record(time=t, src=src, dport=port), now=float(t))
+        engine.process(make_record(time=t, src=src, dport=port))
         live = engine.live_contexts()
         queued = queued_contexts(engine)
         # No stale entries: every queued context is live, and only once.
@@ -250,52 +239,12 @@ SHORT = ContextSpec(10.0, trigger=lambda ctx: True, on_fire=fires_key)
 LONG = ContextSpec(900.0, trigger=lambda ctx: True, on_fire=fires_key)
 
 
-def touch_in_two_calls(engine, key, spec, message):
-    return engine.add_to_context(engine.ensure_context(key, spec), message)
-
-
 def engine_state(engine):
     queues = {
         timeout: [(key, ctx.deadline, list(ctx.messages)) for key, ctx in queue.items()]
         for timeout, queue in engine._queues.items()
     }
     return queues, engine.report, engine.now
-
-
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(
-    steps=st.lists(
-        st.tuples(st.integers(-120, 400), st.sampled_from(["a", "b", "c"]), st.sampled_from([300.0, 900.0])),
-        max_size=60,
-    )
-)
-def test_touch_leaves_the_state_ensure_then_add_leaves(steps):
-    # The 300 s contexts fire on one message, the 900 s ones need two.
-    specs = {
-        300.0: ContextSpec(300.0, lambda ctx: len(ctx.messages) >= 1, fires_key),
-        900.0: ContextSpec(900.0, lambda ctx: len(ctx.messages) >= 2, fires_key),
-    }
-    fused, split = CorrelationEngine(Ruleset([])), CorrelationEngine(Ruleset([]))
-    # Fed through add, which builds no Context for a one-message context.
-    added = CorrelationEngine(Ruleset([]))
-    t = 50000
-    for gap, key, timeout in steps:
-        # Negative gaps step back; engine time stays at its high-water mark.
-        t += gap
-        record = make_record(time=t)
-        assert fused.advance(float(t)) == split.advance(float(t)) == added.advance(float(t))
-        ctx = fused.touch(key, specs[timeout], record)
-        assert touch_in_two_calls(split, key, specs[timeout], record).messages == ctx.messages
-        assert added.add((key,), specs[timeout], record) is None
-        assert engine_state(fused) == engine_state(split)
-        assert added.queue_lengths() == fused.queue_lengths()
-        assert added.report == fused.report
-    fused.finish()
-    split.finish()
-    added.finish()
-    assert engine_state(fused) == engine_state(split) == engine_state(added)
-    assert added.report == fused.report
-    assert added.live_contexts() == []
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -312,10 +261,10 @@ def test_add_with_several_keys_touches_each_in_order(steps):
     for gap, keys in steps:
         t += gap
         record = make_record(time=t)
-        assert touched.advance(float(t)) == added.advance(float(t))
+        assert fired_by_advance(touched, float(t)) == fired_by_advance(added, float(t))
         for key in keys:
-            touched.touch(key, spec, record)
-        added.add(keys, spec, record)
+            touched.add((key,), spec, record)
+        assert added.add(keys, spec, record) is None
         assert added.queue_lengths() == touched.queue_lengths()
         assert added.report == touched.report
     # live_contexts() builds every context that is still one message.
@@ -325,6 +274,7 @@ def test_add_with_several_keys_touches_each_in_order(steps):
     touched.finish()
     added.finish()
     assert added.report == touched.report
+    assert added.live_contexts() == []
 
 
 def test_expiring_one_message_contexts_fire_as_contexts_of_their_own():
@@ -335,7 +285,7 @@ def test_expiring_one_message_contexts_fire_as_contexts_of_their_own():
         records[key] = make_record(time=now, src=f"9.9.9.{now + 1}")
         engine.advance(float(now))
         engine.add((key,), spec, records[key])
-    fired = engine.advance(50.0)
+    fired = fired_by_advance(engine, 50.0)
     assert [ctx.key for ctx in fired] == ["a", "b", "c"]
     assert len({id(ctx) for ctx in fired}) == 3
     for ctx in fired:
@@ -344,6 +294,7 @@ def test_expiring_one_message_contexts_fire_as_contexts_of_their_own():
         assert ctx.messages == [records[ctx.key]]
     assert [ctx.deadline for ctx in fired] == [11.0, 12.0, 10.0]
     assert engine.report.alerts == fired
+    assert engine.report.alert_counts == {Context: 3}
 
 
 def test_a_one_message_context_keeps_its_identity_and_place_once_asked_for():
@@ -358,11 +309,12 @@ def test_a_one_message_context_keeps_its_identity_and_place_once_asked_for():
     assert [c.key for c in engine.live_contexts()] == ["k", "later"]
     assert engine.live_contexts()[0] is ctx
     engine.advance(5.0)
-    assert engine.add_to_context(ctx, second) is ctx
-    assert engine.touch("k", spec, second) is ctx
+    for _ in range(2):
+        engine.add(("k",), spec, second)
+        assert engine.find_context("k") is ctx
     assert ctx.messages == [first, second, second] and ctx.deadline == 15.0
-    assert engine.ensure_context("later", spec) is engine.find_context("later")
-    assert engine.advance(15.0) == [("k", 10.0, 3), ("later", 10.0, 1)]
+    assert engine.find_context("later") is engine.find_context("later")
+    assert fired_by_advance(engine, 15.0) == [("k", 10.0, 3), ("later", 10.0, 1)]
 
 
 def test_a_scan_run_builds_a_context_only_for_what_fires(tmp_path, monkeypatch):
@@ -391,32 +343,34 @@ def test_context_spec_needs_a_positive_timeout(timeout):
         ContextSpec(timeout, trigger=lambda ctx: True, on_fire=fires_key)
 
 
-@pytest.mark.parametrize("touch", [CorrelationEngine.touch, touch_in_two_calls])
-def test_a_short_context_created_after_a_long_one_expires_at_its_own_deadline(touch):
+def test_a_short_context_created_after_a_long_one_expires_at_its_own_deadline():
     engine = CorrelationEngine(Ruleset([]))
-    touch(engine, "long", LONG, make_record())
-    assert engine.advance(100.0) == []
-    touch(engine, "short", SHORT, make_record())
-    assert engine.advance(109.0) == []
-    assert engine.advance(110.0) == [("short", 10.0, 1)]
-    assert engine.advance(899.0) == []
-    assert engine.advance(900.0) == [("long", 900.0, 1)]
+    engine.add(("long",), LONG, make_record())
+    assert fired_by_advance(engine, 100.0) == []
+    engine.add(("short",), SHORT, make_record())
+    assert fired_by_advance(engine, 109.0) == []
+    assert fired_by_advance(engine, 110.0) == [("short", 10.0, 1)]
+    assert fired_by_advance(engine, 899.0) == []
+    assert fired_by_advance(engine, 900.0) == [("long", 900.0, 1)]
 
 
 def test_a_key_names_one_live_context_per_timeout_value():
     engine = CorrelationEngine(Ruleset([]))
     other_short = ContextSpec(10.0, trigger=lambda ctx: False, on_fire=fires_key)
-    short = engine.touch("k", SHORT, make_record())
+    engine.add(("k",), SHORT, make_record())
+    short = engine.find_context("k")
     # Same timeout value: the same context, still under the spec that made it.
-    assert engine.touch("k", other_short, make_record()) is short
+    engine.add(("k",), other_short, make_record())
+    assert engine.find_context("k") is short
     assert short.spec is SHORT and len(short.messages) == 2
     # Another timeout value: a context of its own under the same key.
-    long = engine.touch("k", LONG, make_record())
-    assert long is not short
+    engine.add(("k",), LONG, make_record())
+    long = engine.live_contexts()[1]
+    assert long is not short and long.spec is LONG
     assert engine.queue_lengths() == {10.0: 1, 900.0: 1}
     assert engine.live_contexts() == [short, long]
     assert engine.find_context("k") is short
-    assert engine.advance(10.0) == [("k", 10.0, 2)]
+    assert fired_by_advance(engine, 10.0) == [("k", 10.0, 2)]
     assert engine.find_context("k") is long
     assert engine.queue_lengths() == {10.0: 0, 900.0: 1}
 
@@ -487,10 +441,12 @@ def test_one_alert_per_dense_run_of_messages(gaps, timeout):
     sizes.append(run)
     expected = sum(1 for size in sizes if size >= 2)
 
-    engine = CorrelationEngine(Ruleset([count_rule(timeout=float(timeout))]))
+    # Times run past one day, so engine time comes from a fake wall clock.
+    clock = WallClock(iter(times).__next__)
+    engine = CorrelationEngine(Ruleset([count_rule(timeout=float(timeout))]), clock=clock)
     record = make_record()
-    for t in times:
-        engine.process(record, now=t)
+    for _ in times:
+        engine.process(record)
     report = engine.finish()
     assert report.contexts_fired == expected
     assert [size for _, size in report.alerts] == [size for size in sizes if size >= 2]

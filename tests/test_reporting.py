@@ -1,6 +1,7 @@
 """Output line formats, byte for byte, and sink routing."""
 
 import builtins
+import sys
 
 import pytest
 
@@ -15,7 +16,7 @@ from flowsentry.reporting import (
 )
 from flowsentry.scanrules import Direction, ScanAlert, ScanKind, VulnAlert, WatchlistEntry
 
-from conftest import FailingFlushHandle, make_record
+from conftest import ClosedPipe, FailingFlushHandle, make_record
 
 DATE = "2004/11/05"
 TZ = "-5:00"
@@ -214,3 +215,21 @@ def test_flush_counts_failures_and_keeps_going(tmp_path, monkeypatch):
         assert sinks.write_failures == 1
         assert (tmp_path / "outgoing").read_text(encoding="utf-8") == "out-1\n"
     assert sinks.write_failures == 2
+
+
+def test_a_broken_console_is_counted_once_and_turned_off(tmp_path, monkeypatch):
+    stdout = ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    scan = horizontal_alert()
+    portscans = tmp_path / "portscans"
+    with SinkSet(portscans_path=str(portscans), console=True) as sinks:
+        assert sinks.emit(scan) is True
+        assert sinks.emit(scan) is True
+        assert (sinks.write_failures, sinks.console) == (1, False)
+    # One write was tried; neither the second alert nor close() went near stdout.
+    assert (stdout.writes, stdout.flushes, sinks.write_failures) == (1, 0, 1)
+    assert portscans.read_text(encoding="utf-8") == 2 * (format_scan_alert(scan) + "\n")
+    # With no file to take it, an alert the console failed to take is kept.
+    with SinkSet(console=True) as sinks:
+        assert sinks.emit(scan) is False
+    assert sinks.write_failures == 1

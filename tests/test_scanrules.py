@@ -19,7 +19,7 @@ from flowsentry.scanrules import (
     count_distinct_targets,
     derive_keys,
     load_watchlist,
-    scan_trigger,
+    scan_alert,
     trigger_holds,
 )
 
@@ -103,14 +103,17 @@ def test_min_messages_fires_where_distinct_targets_stays_quiet():
     assert not trigger_holds(ctx, TriggerPolicy("distinct_targets", 2))
 
 
-def test_scan_trigger_below_threshold_returns_none():
+def test_a_lone_probe_stays_below_the_threshold():
     ctx = ctx_with([make_record()])
-    assert scan_trigger(ctx, TriggerPolicy("min_messages", 2)) is None
+    for mode in ("min_messages", "distinct_targets"):
+        assert not trigger_holds(ctx, TriggerPolicy(mode, 2))
 
 
-def test_scan_trigger_builds_the_alert():
+def test_scan_alert_builds_the_alert():
     probes = [make_record(time=t, dst=f"10.0.0.{i + 1}") for i, t in enumerate(("14:03:33", "14:15:13"))]
-    alert = scan_trigger(ctx_with(probes, ScanKind.HORIZONTAL), TriggerPolicy("min_messages", 2))
+    ctx = ctx_with(probes, ScanKind.HORIZONTAL)
+    assert trigger_holds(ctx, TriggerPolicy("min_messages", 2))
+    alert = scan_alert(ctx)
     assert alert.kind is ScanKind.HORIZONTAL
     assert alert.remote_ip == "5.5.5.10"
     assert alert.fixed == 12346
@@ -118,6 +121,14 @@ def test_scan_trigger_builds_the_alert():
     assert alert.last_seen == "14:15:13"
     assert alert.distinct_targets == 2
     assert len(alert.evidence) == 2
+
+
+def test_scan_alert_counts_targets_as_the_trigger_does():
+    same_host = [make_record(dst="10.0.0.7", dport=p) for p in (80, 81, 80)]
+    ctx = ctx_with(same_host, ScanKind.VERTICAL)
+    alert = scan_alert(ctx)
+    assert alert.fixed == "10.0.0.7"
+    assert alert.distinct_targets == count_distinct_targets(ctx) == 2
 
 
 def test_load_watchlist_skips_malformed_lines(tmp_path, caplog):
