@@ -10,12 +10,12 @@ import sys
 from itertools import chain
 from typing import Any
 
-from .config import PRESET_NAMES, ConfigError, EngineConfig, load_config, merge_overrides, resolve_watchlist
+from .config import PRESET_NAMES, ConfigError, EngineConfig, load_config, merge_overrides, read_yaml, resolve_watchlist
 from .engine import run_engine, run_follow
 from .ingest import ingest
 from .pipeline import build_scan_ruleset
 from .reporting import SinkSet
-from .scanrules import ScanAlert, VulnAlert
+from .scanrules import TRIGGER_MODES, ScanAlert, VulnAlert
 
 # The generator, baseline and bench modules are imported inside the commands
 # that use them, so analyze and follow start without compiling them.
@@ -38,7 +38,7 @@ def _engine_options() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="YAML config file; flags override it")
     common.add_argument("--timeout", type=float, dest="timeout", metavar="SECONDS", help="context timeout")
-    common.add_argument("--policy", choices=["min_messages", "distinct_targets"], help="scan trigger policy")
+    common.add_argument("--policy", choices=TRIGGER_MODES, help="scan trigger policy")
     common.add_argument("--min-messages", type=int, dest="min_messages", metavar="N", help="trigger threshold")
     common.add_argument("--local-net", action="append", dest="local_nets", metavar="CIDR", help="local network (repeatable)")
     common.add_argument("--watchlist", metavar="FILE", help="vulnerable services watchlist")
@@ -114,7 +114,7 @@ def _output_sinks(output_dir: str, base: str | None, console: bool = False) -> S
 def _write_failure_status(sinks: SinkSet) -> int:
     """Warn on stderr and exit 2 when any output write failed."""
     if sinks.write_failures:
-        sys.stderr.write(f"warning: {sinks.write_failures} output writes failed; output files are incomplete\n")
+        sys.stderr.write(f"warning: {sinks.write_failures} output writes failed; an output file or stdout is incomplete\n")
         return 2
     return 0
 
@@ -134,13 +134,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         # boundaries and only the very end flushes.
         report = run_engine(chain.from_iterable(records for records, _ in streams), ruleset, sinks=sinks)
     per_log = [stats for _, stats in streams]
-    print(
-        f"{sum(s.lines_read for s in per_log)} lines read, {sum(s.records_parsed for s in per_log)} parsed, "
-        f"{sum(s.parse_failures for s in per_log)} malformed"
-    )
-    print(f"{report.contexts_created} contexts created, {report.contexts_fired} fired")
-    print(f"{report.alert_counts[ScanAlert]} scan alerts -> {sinks.portscans_path}")
-    print(f"{report.alert_counts[VulnAlert]} vulnerability alerts -> {sinks.vulscans_path}")
+    try:
+        print(
+            f"{sum(s.lines_read for s in per_log)} lines read, {sum(s.records_parsed for s in per_log)} parsed, "
+            f"{sum(s.parse_failures for s in per_log)} malformed"
+        )
+        print(f"{report.contexts_created} contexts created, {report.contexts_fired} fired")
+        print(f"{report.alert_counts[ScanAlert]} scan alerts -> {sinks.portscans_path}")
+        print(f"{report.alert_counts[VulnAlert]} vulnerability alerts -> {sinks.vulscans_path}")
+        sys.stdout.flush()
+    except OSError:
+        # As for a console alert: a reader that has gone, as under
+        # `| head -n 1`, is a failed write, not the end of the run.
+        sinks.write_failures += 1
     return _write_failure_status(sinks)
 
 
@@ -165,14 +171,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         gen_config = preset(args.genconfig)
         stem = args.genconfig
     else:
-        import yaml  # imported here so commands that parse no YAML skip it
-
-        with open(args.genconfig, "r", encoding="utf-8") as handle:
-            try:
-                data = yaml.safe_load(handle)
-            except yaml.YAMLError as exc:
-                raise ConfigError(f"{args.genconfig}: {exc}") from exc
-        gen_config = gen_config_from_dict(data or {})
+        gen_config = gen_config_from_dict(read_yaml(args.genconfig) or {})
         stem = os.path.splitext(os.path.basename(args.genconfig))[0]
     out_path = args.output or f"{stem}.log"
     lines, truth = generate(gen_config)

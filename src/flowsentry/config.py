@@ -53,16 +53,18 @@ class EngineConfig:
         if self.date is not None and not _DATE_RE.match(self.date):
             raise ConfigError("date must look like yyyy/mm/dd")
         try:
-            TriggerPolicy(self.trigger_policy, self.min_messages)
+            policy = TriggerPolicy(self.trigger_policy, self.min_messages)
             networks = LocalNetworks(self.local_nets)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        # Kept for networks(); not a field, so as_dict(), equality and
-        # dataclasses.replace() never see it.
+        # Kept for policy() and networks(); not fields, so as_dict(),
+        # equality and dataclasses.replace() never see them.
+        object.__setattr__(self, "_policy", policy)
         object.__setattr__(self, "_networks", networks)
 
     def policy(self) -> TriggerPolicy:
-        return TriggerPolicy(self.trigger_policy, self.min_messages)
+        """The validated trigger policy, built once when the config is."""
+        return self._policy
 
     def networks(self) -> LocalNetworks:
         """The parsed local_nets, built once when the config is."""
@@ -77,11 +79,15 @@ class EngineConfig:
         return data
 
 
-def config_from_dict(data: dict[str, Any]) -> EngineConfig:
-    fields = {f.name for f in dataclasses.fields(EngineConfig)}
-    unknown = set(data) - fields
+def check_keys(data: dict[str, Any], cls: type, what: str) -> None:
+    """Raise ConfigError naming every key of data that is not a field of cls."""
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
+
+
+def config_from_dict(data: dict[str, Any]) -> EngineConfig:
+    check_keys(data, EngineConfig, "config")
     if "local_nets" in data:
         data = dict(data)
         data["local_nets"] = tuple(data["local_nets"])
@@ -91,15 +97,21 @@ def config_from_dict(data: dict[str, Any]) -> EngineConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path: str) -> EngineConfig:
-    """Read a YAML mapping of EngineConfig fields."""
-    import yaml  # imported here so runs without a config file skip it
+def read_yaml(path: str) -> Any:
+    """The document in a YAML file, None when it is empty. Bad YAML is a
+    ConfigError; a file that cannot be read raises OSError."""
+    import yaml  # imported here so runs that read no YAML file skip it
 
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = yaml.safe_load(handle)
+            return yaml.safe_load(handle)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+
+
+def load_config(path: str) -> EngineConfig:
+    """Read a YAML mapping of EngineConfig fields."""
+    data = read_yaml(path)
     if data is None:
         data = {}
     if not isinstance(data, dict):

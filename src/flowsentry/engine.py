@@ -9,15 +9,14 @@ import time
 from collections import Counter, OrderedDict, defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from .ingest import FlowRecord, IngestStats, ingest
 
 Matcher = Callable[[FlowRecord], bool]
 Action = Callable[["CorrelationEngine", FlowRecord], None]
 
-# Seconds of day. A drop of more than half a day between consecutive
-# timestamps is read as a midnight crossing.
+# Seconds in half a day and in a day, for BatchClock.
 _HALF_DAY = 43200
 _DAY = 86400
 
@@ -41,17 +40,16 @@ class ContextSpec:
     the trigger holds. Build one per rule, not one per context. The timeout
     must be a positive number of seconds.
 
-    The trigger must be a pure function of its context and must not keep
-    it: it is evaluated as the context leaves the store, in deadline order,
-    once per expiring context, so it sits on the hot path and should be
-    cheap. A context that expires holding one message is handed to the
-    trigger as a stand-in that the engine reuses for the next one. on_fire
-    runs in key order, after every context due at that instant has been
-    removed, and always gets a Context of its own.
+    trigger(key, messages) decides on the context's key and its messages in
+    arrival order, and must not change them. It is evaluated as the context
+    leaves the store, in deadline order, once per expiring context, so it
+    sits on the hot path and should be cheap. on_fire runs in key order,
+    after every context due at that instant has been removed, and gets a
+    Context of its own.
     """
 
     timeout_value: float
-    trigger: Callable[["Context"], bool]
+    trigger: Callable[[Any, Sequence[FlowRecord]], bool]
     on_fire: Callable[["Context"], Any]
 
     def __post_init__(self) -> None:
@@ -115,8 +113,10 @@ class EngineReport:
 
 
 class BatchClock:
-    """Maps time-of-day stamps onto a monotone engine timeline, adding a day
-    whenever the stamp falls back across midnight."""
+    """Maps time-of-day stamps onto the engine timeline. A stamp more than
+    half a day below the last one has crossed midnight into the next day;
+    one more than half a day above it has stepped back across midnight. So
+    consecutive records must be less than half a day apart."""
 
     def __init__(self) -> None:
         self._day = 0
@@ -124,8 +124,8 @@ class BatchClock:
 
     def now_for(self, record: FlowRecord) -> float:
         tod = record.event_time
-        if self._last is not None and self._last - tod > _HALF_DAY:
-            self._day += 1
+        if self._last is not None and abs(tod - self._last) > _HALF_DAY:
+            self._day += 1 if tod < self._last else -1
         self._last = tod
         return float(self._day * _DAY + tod)
 
@@ -183,10 +183,6 @@ class CorrelationEngine:
         # No queued deadline is earlier: a create lowers it, a slide only
         # raises deadlines, and each expiry scan recomputes it.
         self._next_due = math.inf
-        # What the trigger of an expiring one-message entry is handed: its
-        # fields and its one message are set in place for each such entry.
-        self._stand_in = Context(None, None)  # type: ignore[arg-type]
-        self._stand_in.messages.append(None)  # type: ignore[arg-type]
 
     @property
     def now(self) -> float:
@@ -248,7 +244,6 @@ class CorrelationEngine:
         report = self.report
         triggered: list[Context] = []
         next_due = math.inf
-        stand_in = self._stand_in
         for queue in self._queues.values():
             popitem = queue.popitem
             expired = 0
@@ -264,17 +259,11 @@ class CorrelationEngine:
                         next_due = deadline
                     break
                 expired += 1
-                if not lazy:
-                    if entry.spec.trigger(entry):
-                        triggered.append(entry)
-                    continue
-                spec = entry[1]
-                stand_in.key = key
-                stand_in.spec = spec
-                stand_in.deadline = deadline
-                stand_in.messages[0] = entry[2]
-                if spec.trigger(stand_in):
-                    triggered.append(_build(key, entry))
+                if lazy:
+                    if entry[1].trigger(key, (entry[2],)):
+                        triggered.append(_build(key, entry))
+                elif entry.spec.trigger(key, entry.messages):
+                    triggered.append(entry)
             report.contexts_expired += expired
         self._next_due = next_due
         if not triggered:

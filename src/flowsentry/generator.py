@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .config import DEFAULT_LOCAL_NETS, PRESET_NAMES, ConfigError
+from .config import DEFAULT_LOCAL_NETS, PRESET_NAMES, ConfigError, check_keys
 from .ingest import FlowRecord, Protocol, format_line
 from .scanrules import LocalNetworks, ScanAlert, ScanKind
 
@@ -377,16 +377,10 @@ def gen_config_from_dict(data: dict) -> GenConfig:
     """Build a GenConfig from a parsed YAML mapping."""
     if not isinstance(data, dict):
         raise ConfigError("generator config must be a mapping")
-    known = {"duration", "background_rate", "local_nets", "seed", "scans", "start_tod"}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown generator config keys: {', '.join(sorted(unknown))}")
+    check_keys(data, GenConfig, "generator config")
     scans = []
     for item in data.get("scans", []):
-        scan_known = {"kind", "scanner_ip", "target", "probes", "inter_probe_gap", "start_time", "adjacency"}
-        extra = set(item) - scan_known
-        if extra:
-            raise ConfigError(f"unknown scan keys: {', '.join(sorted(extra))}")
+        check_keys(item, ScanSpec, "scan")
         try:
             scans.append(ScanSpec(**item))
         except (TypeError, ValueError) as exc:

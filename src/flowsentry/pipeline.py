@@ -3,18 +3,11 @@
 from __future__ import annotations
 
 from .config import EngineConfig
-from .engine import Context, ContextSpec, CorrelationEngine, Rule, Ruleset
+from .engine import ContextSpec, CorrelationEngine, Rule, Ruleset
 from .ingest import FlowRecord
 from .reporting import format_fw_line
-from .scanrules import (
-    Direction,
-    Watchlist,
-    check_watchlist,
-    classify_direction,
-    derive_keys,
-    scan_alert,
-    trigger_holds,
-)
+from .scanrules import Direction, Watchlist, check_watchlist, classify_direction, derive_keys, scan_alert
+
 
 def build_scan_ruleset(config: EngineConfig, watchlist: Watchlist | None = None) -> Ruleset:
     """One rule over the flow grammar. Its action runs the per-record work
@@ -27,17 +20,11 @@ def build_scan_ruleset(config: EngineConfig, watchlist: Watchlist | None = None)
     record and shared by all three steps.
     """
     nets = config.networks()
-    policy = config.policy()
     date = config.resolved_date()
     tz = config.tz
     watchlist = watchlist if watchlist is not None else Watchlist()
 
-    def trigger(ctx: Context) -> bool:
-        # A closure calling positionally costs about half of a partial with
-        # a keyword, and it runs once per expiring context.
-        return trigger_holds(ctx, policy)
-
-    spec = ContextSpec(timeout_value=config.timeout_value, trigger=trigger, on_fire=scan_alert)
+    spec = ContextSpec(timeout_value=config.timeout_value, trigger=config.policy().trigger(), on_fire=scan_alert)
 
     def flow_action(engine: CorrelationEngine, record: FlowRecord) -> None:
         direction = classify_direction(record, nets)

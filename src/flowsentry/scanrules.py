@@ -8,7 +8,7 @@ import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .ingest import FlowRecord, format_tod
 
@@ -130,6 +130,10 @@ def evidence_line(record: FlowRecord) -> str:
     )
 
 
+# The trigger policy modes, in the order the CLI offers them.
+TRIGGER_MODES = ("min_messages", "distinct_targets")
+
+
 @dataclass(frozen=True)
 class TriggerPolicy:
     """When an expiring scan context becomes an alert.
@@ -143,22 +147,24 @@ class TriggerPolicy:
     min_messages: int = 2
 
     def __post_init__(self) -> None:
-        if self.mode not in ("min_messages", "distinct_targets"):
+        if self.mode not in TRIGGER_MODES:
             raise ValueError(f"unknown trigger policy {self.mode!r}")
         if self.min_messages < 2:
             raise ValueError("min_messages floor is 2")
 
+    def trigger(self) -> Callable[[ScanKey, Sequence[FlowRecord]], bool]:
+        """The policy as a ContextSpec trigger: a predicate on a context's
+        key and messages, with the mode decided here, not at each expiry."""
+        threshold = self.min_messages
+        if self.mode == "min_messages":
+            return lambda key, messages: len(messages) >= threshold
+        return lambda key, messages: count_distinct_targets(key, messages) >= threshold
 
-def count_distinct_targets(ctx: "Context") -> int:
-    if ctx.key[0] is ScanKind.VERTICAL:
-        return len({m.dest_port for m in ctx.messages})
-    return len({m.dest_ip for m in ctx.messages})
 
-
-def trigger_holds(ctx: "Context", policy: TriggerPolicy) -> bool:
-    if policy.mode == "min_messages":
-        return len(ctx.messages) >= policy.min_messages
-    return count_distinct_targets(ctx) >= policy.min_messages
+def count_distinct_targets(key: ScanKey, messages: Sequence[FlowRecord]) -> int:
+    if key[0] is ScanKind.VERTICAL:
+        return len({m.dest_port for m in messages})
+    return len({m.dest_ip for m in messages})
 
 
 # As in ingest: a named tuple from a ready tuple of its fields, without the
@@ -179,7 +185,7 @@ def scan_alert(ctx: "Context") -> ScanAlert:
             tuple(map(evidence_line, messages)),
             format_tod(messages[0].event_time),
             format_tod(messages[-1].event_time),
-            count_distinct_targets(ctx),
+            count_distinct_targets(ctx.key, messages),
         ),
     )
 

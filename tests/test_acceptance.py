@@ -34,7 +34,6 @@ from flowsentry.scanrules import (
     classify_direction,
     derive_keys,
     scan_alert,
-    trigger_holds,
 )
 
 from conftest import make_record
@@ -172,15 +171,13 @@ def test_criterion_4_context_invariants_under_fuzzing():
 
         def run_instrumented(records):
             fired = []
+            holds = policy.trigger()
 
             def fire(ctx):
                 # Only a context whose trigger held fires.
-                assert trigger_holds(ctx, policy)
+                assert holds(ctx.key, ctx.messages)
                 fired.append(ctx)
                 return scan_alert(ctx)
-
-            def holds(ctx):
-                return trigger_holds(ctx, policy)
 
             spec = ContextSpec(timeout, trigger=holds, on_fire=fire)
 
@@ -231,9 +228,9 @@ def test_criterion_5_single_probes_never_alert():
                                     records.append(make_record(dst=f"10.0.0.{i % distinct + 1}", dport=12346))
                             probe = records[0] if records else make_record()
                             key = derive_keys(probe)[0 if kind is ScanKind.VERTICAL else 1]
-                            ctx = Context(key, ContextSpec(900.0, trigger=lambda c: True, on_fire=lambda c: None))
+                            ctx = Context(key, ContextSpec(900.0, trigger=lambda key, messages: True, on_fire=lambda c: None))
                             ctx.messages.extend(records)
-                            alert = scan_alert(ctx) if trigger_holds(ctx, policy) else None
+                            alert = scan_alert(ctx) if policy.trigger()(ctx.key, ctx.messages) else None
                             should_fire = size > 0 and (size if mode == "min_messages" else distinct) >= threshold
                             assert (alert is not None) == should_fire
                             if size <= 1:

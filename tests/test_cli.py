@@ -195,12 +195,30 @@ def test_analyze_into_a_closed_pipe_writes_every_file_and_exits_2(tmp_path, caps
     with monkeypatch.context() as patch:
         patch.setattr(sys, "stdout", ClosedPipe())
         assert run_command(analyze_args(log, tmp_path / "piped", "--timeout", "60")) == 2
-    assert "Broken pipe" in capsys.readouterr().err
+    # The first alert and the summary fail; neither ends the run.
+    assert capsys.readouterr().err == "warning: 2 output writes failed; an output file or stdout is incomplete\n"
     for name in ("incoming", "outgoing", "portscans", "vulscans"):
         quiet = (tmp_path / "quiet" / f"{name}_{log.name}").read_bytes()
         assert (tmp_path / "piped" / f"{name}_{log.name}").read_bytes() == quiet
     portscans = (tmp_path / "quiet" / f"portscans_{log.name}").read_text(encoding="utf-8")
     assert portscans.startswith("Horizontal scan:\n") and "Vertical scan:\n" in portscans
+
+
+def test_analyze_counts_a_summary_into_a_closed_pipe_as_a_failed_write(tmp_path, capsys, monkeypatch):
+    log = write_corpus(tmp_path)
+    assert run_command(analyze_args(log, tmp_path / "quiet", "--timeout", "900", "--no-console")) == 0
+    capsys.readouterr()
+    stdout = ClosedPipe()
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stdout)
+        assert run_command(analyze_args(log, tmp_path / "piped", "--timeout", "900", "--no-console")) == 2
+    # The summary is the only stdout write, and its BrokenPipeError is
+    # counted and warned about, not reported as an error.
+    assert stdout.writes == 1
+    assert capsys.readouterr().err == "warning: 1 output writes failed; an output file or stdout is incomplete\n"
+    for name in ("incoming", "outgoing", "portscans", "vulscans"):
+        quiet = (tmp_path / "quiet" / f"{name}_{log.name}").read_bytes()
+        assert (tmp_path / "piped" / f"{name}_{log.name}").read_bytes() == quiet
 
 
 def test_analyze_reports_a_failed_final_flush_and_still_prints_the_summary(tmp_path, capsys, monkeypatch):

@@ -36,8 +36,8 @@ def count_rule(timeout=900.0, threshold=2, key_fn=lambda r: r.source_ip):
     def fire(ctx):
         return (ctx.key, len(ctx.messages))
 
-    def holds(ctx):
-        return len(ctx.messages) >= threshold
+    def holds(key, messages):
+        return len(messages) >= threshold
 
     spec = ContextSpec(timeout, holds, fire)
 
@@ -235,8 +235,8 @@ def fires_key(ctx):
     return (ctx.key, ctx.spec.timeout_value, len(ctx.messages))
 
 
-SHORT = ContextSpec(10.0, trigger=lambda ctx: True, on_fire=fires_key)
-LONG = ContextSpec(900.0, trigger=lambda ctx: True, on_fire=fires_key)
+SHORT = ContextSpec(10.0, trigger=lambda key, messages: True, on_fire=fires_key)
+LONG = ContextSpec(900.0, trigger=lambda key, messages: True, on_fire=fires_key)
 
 
 def engine_state(engine):
@@ -255,7 +255,7 @@ def engine_state(engine):
     )
 )
 def test_add_with_several_keys_touches_each_in_order(steps):
-    spec = ContextSpec(300.0, lambda ctx: len(ctx.messages) >= 2, fires_key)
+    spec = ContextSpec(300.0, lambda key, messages: len(messages) >= 2, fires_key)
     touched, added = CorrelationEngine(Ruleset([])), CorrelationEngine(Ruleset([]))
     t = 50000
     for gap, keys in steps:
@@ -278,7 +278,7 @@ def test_add_with_several_keys_touches_each_in_order(steps):
 
 
 def test_expiring_one_message_contexts_fire_as_contexts_of_their_own():
-    spec = ContextSpec(10.0, trigger=lambda ctx: len(ctx.messages) == 1, on_fire=lambda ctx: ctx)
+    spec = ContextSpec(10.0, trigger=lambda key, messages: len(messages) == 1, on_fire=lambda ctx: ctx)
     engine = CorrelationEngine(Ruleset([]))
     records = {}
     for now, key in enumerate(("c", "a", "b")):
@@ -297,8 +297,37 @@ def test_expiring_one_message_contexts_fire_as_contexts_of_their_own():
     assert engine.report.alert_counts == {Context: 3}
 
 
+def test_a_trigger_may_keep_every_key_and_message_sequence_it_is_handed():
+    seen = []
+
+    def keep(key, messages):
+        seen.append((key, messages))
+        return len(messages) >= 2
+
+    spec = ContextSpec(10.0, trigger=keep, on_fire=lambda ctx: (ctx.key, list(ctx.messages)))
+    engine = CorrelationEngine(Ruleset([]))
+    r = {}
+    for t, key in ((0, "a"), (1, "b"), (2, "a"), (20, "a"), (21, "c"), (40, "b"), (41, "b")):
+        r[t] = make_record(time=t, sport=1000 + t)
+        engine.advance(float(t))
+        engine.add((key,), spec, r[t])
+    report = engine.finish()
+    # Checked after the run: each expiry handed over its own key and its
+    # own messages in arrival order, in deadline order, never a Context.
+    assert [(key, list(messages)) for key, messages in seen] == [
+        ("b", [r[1]]),
+        ("a", [r[0], r[2]]),
+        ("a", [r[20]]),
+        ("c", [r[21]]),
+        ("b", [r[40], r[41]]),
+    ]
+    assert len({id(messages) for _, messages in seen}) == len(seen) == report.contexts_expired
+    assert not any(isinstance(messages, Context) for _, messages in seen)
+    assert report.alerts == [("a", [r[0], r[2]]), ("b", [r[40], r[41]])]
+
+
 def test_a_one_message_context_keeps_its_identity_and_place_once_asked_for():
-    spec = ContextSpec(10.0, trigger=lambda ctx: True, on_fire=fires_key)
+    spec = ContextSpec(10.0, trigger=lambda key, messages: True, on_fire=fires_key)
     engine = CorrelationEngine(Ruleset([]))
     first, second = make_record(dport=1), make_record(dport=2)
     engine.add(("k", "later"), spec, first)
@@ -340,7 +369,7 @@ def test_a_scan_run_builds_a_context_only_for_what_fires(tmp_path, monkeypatch):
 @pytest.mark.parametrize("timeout", [float("nan"), 0.0, -5.0])
 def test_context_spec_needs_a_positive_timeout(timeout):
     with pytest.raises(ValueError, match="timeout_value must be positive"):
-        ContextSpec(timeout, trigger=lambda ctx: True, on_fire=fires_key)
+        ContextSpec(timeout, trigger=lambda key, messages: True, on_fire=fires_key)
 
 
 def test_a_short_context_created_after_a_long_one_expires_at_its_own_deadline():
@@ -356,7 +385,7 @@ def test_a_short_context_created_after_a_long_one_expires_at_its_own_deadline():
 
 def test_a_key_names_one_live_context_per_timeout_value():
     engine = CorrelationEngine(Ruleset([]))
-    other_short = ContextSpec(10.0, trigger=lambda ctx: False, on_fire=fires_key)
+    other_short = ContextSpec(10.0, trigger=lambda key, messages: False, on_fire=fires_key)
     engine.add(("k",), SHORT, make_record())
     short = engine.find_context("k")
     # Same timeout value: the same context, still under the spec that made it.
@@ -408,6 +437,21 @@ def test_batch_clock_adds_a_day_on_midnight_wrap():
     # A second midnight crossing adds another day.
     assert clock.now_for(make_record(time="23:00:00")) == 86400 + tod("23:00:00")
     assert clock.now_for(make_record(time="00:30:00")) == 2 * 86400 + tod("00:30:00")
+
+
+def test_batch_clock_reads_a_late_record_across_midnight_as_a_backstep():
+    clock = BatchClock()
+    stamps = ("23:59:50", "00:00:05", "23:59:55", "00:00:10")
+    assert [clock.now_for(make_record(time=t)) for t in stamps] == [86390, 86405, 86395, 86410]
+
+
+def test_a_scan_with_a_late_record_across_midnight_fires_once():
+    stamps = ("23:59:50", "00:00:05", "23:59:55", "00:00:10")
+    records = [make_record(time=t, dst=f"10.0.0.{i + 1}") for i, t in enumerate(stamps)]
+    scans = [alert for alert in run_engine(records, scan_ruleset()).alerts if isinstance(alert, ScanAlert)]
+    assert len(scans) == 1
+    assert scans[0].kind is ScanKind.HORIZONTAL and len(scans[0].evidence) == 4
+    assert (scans[0].first_seen, scans[0].last_seen) == ("23:59:50", "00:00:10")
 
 
 def test_batch_clock_tolerates_small_backsteps():

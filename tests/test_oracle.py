@@ -4,8 +4,10 @@ The reference below imports nothing from flowsentry. It keeps each scan
 key's open run as a plain list and, at every record, closes every run whose
 last flow is at least the timeout behind engine time, by scanning them all.
 Engine time follows the time of day, adds a day whenever the time of day
-falls back by more than half a day, and never steps back: a record stamped
-behind the highest time seen so far is handled at that time.
+falls back by more than half a day, takes one off whenever it rises by more
+than half a day (a late record from before midnight), and never steps back:
+a record stamped behind the highest time seen so far is handled at that
+time.
 """
 
 from collections import Counter
@@ -56,6 +58,8 @@ def reference_alerts(flows, timeout, mode, threshold):
         tod, src, _, dst, dport = flow
         if last is not None and last - tod > _HALF_DAY:
             day += 1
+        elif last is not None and tod - last > _HALF_DAY:
+            day -= 1
         last = tod
         now = max(now, day * _DAY + tod)
         for key in sorted(key for key, (deadline, _) in runs.items() if deadline <= now):

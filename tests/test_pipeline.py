@@ -125,14 +125,18 @@ def test_a_run_without_sinks_formats_no_traffic_lines(monkeypatch):
 @pytest.mark.parametrize("mode", ["min_messages", "distinct_targets"])
 def test_trigger_runs_once_per_expired_context(monkeypatch, mode):
     calls = []
-    real_trigger_holds = scanrules.trigger_holds
+    real_trigger = scanrules.TriggerPolicy.trigger
 
-    def counting_trigger_holds(ctx, policy):
-        calls.append(ctx)
-        return real_trigger_holds(ctx, policy)
+    def counting_trigger(policy):
+        holds = real_trigger(policy)
 
-    monkeypatch.setattr(scanrules, "trigger_holds", counting_trigger_holds)
-    monkeypatch.setattr(pipeline, "trigger_holds", counting_trigger_holds)
+        def counting_holds(key, messages):
+            calls.append(key)
+            return holds(key, messages)
+
+        return counting_holds
+
+    monkeypatch.setattr(scanrules.TriggerPolicy, "trigger", counting_trigger)
     vertical = [make_record(time=f"15:00:{i:02d}", src="6.6.6.6", dport=7000 + i) for i in range(3)]
     lone = [make_record(time="15:10:00", src="7.7.7.7")]
     config = EngineConfig(timeout_value=900.0, trigger_policy=mode, min_messages=2, date="2004/11/05")

@@ -20,7 +20,6 @@ from flowsentry.scanrules import (
     derive_keys,
     load_watchlist,
     scan_alert,
-    trigger_holds,
 )
 
 from conftest import make_record
@@ -28,9 +27,14 @@ from conftest import make_record
 
 def ctx_with(records, kind=ScanKind.HORIZONTAL):
     key = derive_keys(records[0])[0 if kind is ScanKind.VERTICAL else 1]
-    ctx = Context(key, ContextSpec(900.0, trigger=lambda c: True, on_fire=lambda c: None))
+    ctx = Context(key, ContextSpec(900.0, trigger=lambda key, messages: True, on_fire=lambda c: None))
     ctx.messages.extend(records)
     return ctx
+
+
+def trigger_holds(ctx, policy):
+    """The policy's trigger, called on ctx as the engine calls it at expiry."""
+    return policy.trigger()(ctx.key, ctx.messages)
 
 
 def test_direction_splits_on_source_address():
@@ -90,9 +94,11 @@ def test_trigger_policy_validation():
 
 def test_distinct_targets_counts_ports_vertically_addresses_horizontally():
     same_port = [make_record(dst=f"10.0.0.{i}", dport=12346) for i in (1, 2, 3)]
-    assert count_distinct_targets(ctx_with(same_port, ScanKind.HORIZONTAL)) == 3
+    ctx = ctx_with(same_port, ScanKind.HORIZONTAL)
+    assert count_distinct_targets(ctx.key, ctx.messages) == 3
     same_host = [make_record(dst="10.0.0.7", dport=p) for p in (80, 81, 80)]
-    assert count_distinct_targets(ctx_with(same_host, ScanKind.VERTICAL)) == 2
+    ctx = ctx_with(same_host, ScanKind.VERTICAL)
+    assert count_distinct_targets(ctx.key, ctx.messages) == 2
 
 
 def test_min_messages_fires_where_distinct_targets_stays_quiet():
@@ -128,7 +134,7 @@ def test_scan_alert_counts_targets_as_the_trigger_does():
     ctx = ctx_with(same_host, ScanKind.VERTICAL)
     alert = scan_alert(ctx)
     assert alert.fixed == "10.0.0.7"
-    assert alert.distinct_targets == count_distinct_targets(ctx) == 2
+    assert alert.distinct_targets == count_distinct_targets(ctx.key, ctx.messages) == 2
 
 
 def test_load_watchlist_skips_malformed_lines(tmp_path, caplog):
