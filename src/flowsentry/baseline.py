@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 
 from .ingest import FlowRecord, format_tod
 from .reporting import SinkSet, format_fw_line, format_vuln_alert
-from .scanrules import Direction, LocalNetworks, ScanAlert, ScanKind, VulnAlert, Watchlist, classify_direction
+from .scanrules import HORIZONTAL, OUTGOING, VERTICAL, LocalNetworks, ScanAlert, ScanKind, VulnAlert, Watchlist, classify_direction
 
 PROGRESS_EVERY = 10000
 
@@ -80,17 +80,15 @@ def baseline_scan(
 
     for record in records:
         direction = classify_direction(record, nets)
-        if direction is Direction.OUTGOING:
+        if sinks is not None:
+            sinks.traffic(direction, format_fw_line(record, direction, date, tz))
+        if direction is OUTGOING:
             report.outgoing_count += 1
-            if sinks is not None:
-                sinks.traffic(direction, format_fw_line(record, direction, date, tz))
             entry = watchlist.outgoing.get(record.source_port)
             if entry is not None:
                 vuln_out(format_vuln_alert(VulnAlert(entry, record)))
         else:
             report.incoming_count += 1
-            if sinks is not None:
-                sinks.traffic(direction, format_fw_line(record, direction, date, tz))
             pair = prev is not None and record.source_ip == prev.source_ip and (
                 (record.dest_ip == prev.dest_ip and record.dest_port != prev.dest_port)
                 or (record.dest_port == prev.dest_port and record.dest_ip != prev.dest_ip)
@@ -102,7 +100,7 @@ def baseline_scan(
                 if not ongoing:
                     ongoing = True
                     report.portscans += 1
-                    kind = ScanKind.VERTICAL if record.dest_ip == prev.dest_ip else ScanKind.HORIZONTAL
+                    kind = VERTICAL if record.dest_ip == prev.dest_ip else HORIZONTAL
                     start = format_tod(prev.event_time)
                     report.scan_events.append(BaselineScanEvent(kind, prev.source_ip, start))
                     scan_out(f"Potential {kind.value} portscan from {prev.source_ip} at {start}")

@@ -111,6 +111,17 @@ def _output_sinks(output_dir: str, base: str | None, console: bool = False) -> S
     return SinkSet(*paths, console=console)
 
 
+def _print_lines(sinks: SinkSet, *lines: str) -> bool:
+    """Print lines and flush stdout; False if that failed. A failed write, as to a reader
+    gone under `| head -n 1`, counts as a failed output write instead of ending the run."""
+    try:
+        print(*lines, sep="\n", flush=True)
+    except OSError:
+        sinks.write_failures += 1
+        return False
+    return True
+
+
 def _write_failure_status(sinks: SinkSet) -> int:
     """Warn on stderr and exit 2 when any output write failed."""
     if sinks.write_failures:
@@ -134,19 +145,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         # boundaries and only the very end flushes.
         report = run_engine(chain.from_iterable(records for records, _ in streams), ruleset, sinks=sinks)
     per_log = [stats for _, stats in streams]
-    try:
-        print(
-            f"{sum(s.lines_read for s in per_log)} lines read, {sum(s.records_parsed for s in per_log)} parsed, "
-            f"{sum(s.parse_failures for s in per_log)} malformed"
-        )
-        print(f"{report.contexts_created} contexts created, {report.contexts_fired} fired")
-        print(f"{report.alert_counts[ScanAlert]} scan alerts -> {sinks.portscans_path}")
-        print(f"{report.alert_counts[VulnAlert]} vulnerability alerts -> {sinks.vulscans_path}")
-        sys.stdout.flush()
-    except OSError:
-        # As for a console alert: a reader that has gone, as under
-        # `| head -n 1`, is a failed write, not the end of the run.
-        sinks.write_failures += 1
+    _print_lines(
+        sinks,
+        f"{sum(s.lines_read for s in per_log)} lines read, {sum(s.records_parsed for s in per_log)} parsed, "
+        f"{sum(s.parse_failures for s in per_log)} malformed",
+        f"{report.contexts_created} contexts created, {report.contexts_fired} fired",
+        f"{report.alert_counts[ScanAlert]} scan alerts -> {sinks.portscans_path}",
+        f"{report.alert_counts[VulnAlert]} vulnerability alerts -> {sinks.vulscans_path}",
+    )
     return _write_failure_status(sinks)
 
 
@@ -194,17 +200,17 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     os.stat(args.log)  # fail before any output file is created
     sinks = _output_sinks(config.output_dir, base)
     records, stats = ingest(args.log, "batch")
+    printing = True
+
+    def progress(n: int) -> None:
+        nonlocal printing  # off after the first failed progress line
+        printing = printing and _print_lines(sinks, f"{base} has {n} lines!")
+
     with sinks:
         report = baseline_scan(
-            records,
-            watchlist,
-            config.networks(),
-            config.resolved_date(),
-            config.tz,
-            sinks=sinks,
-            progress=lambda n: print(f"{base} has {n} lines!"),
+            records, watchlist, config.networks(), config.resolved_date(), config.tz, sinks=sinks, progress=progress
         )
-    print(f"{report.portscans} Portscans detected and written to {sinks.portscans_path}")
+    _print_lines(sinks, f"{report.portscans} Portscans detected and written to {sinks.portscans_path}")
     return _write_failure_status(sinks)
 
 

@@ -86,11 +86,18 @@ def check_keys(data: dict[str, Any], cls: type, what: str) -> None:
         raise ConfigError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
 
 
+def string_tuple(value: Any, what: str) -> tuple[str, ...]:
+    """A parsed list of strings as a tuple; ConfigError for any other shape."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(item, str) for item in value):
+        raise ConfigError(f"{what} must be a list of strings")
+    return tuple(value)
+
+
 def config_from_dict(data: dict[str, Any]) -> EngineConfig:
     check_keys(data, EngineConfig, "config")
     if "local_nets" in data:
         data = dict(data)
-        data["local_nets"] = tuple(data["local_nets"])
+        data["local_nets"] = string_tuple(data["local_nets"], "local_nets")
     try:
         return EngineConfig(**data)
     except TypeError as exc:

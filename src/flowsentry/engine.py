@@ -212,11 +212,13 @@ class CorrelationEngine:
         timeout = spec.timeout_value
         queue = self._queues[timeout]
         deadline = self._now + timeout
+        # One entry for every key created here; _context_at replaces only its own key's.
+        fresh = (deadline, spec, message)
         created = 0
         for key in keys:
             entry = queue.get(key)
             if entry is None:
-                queue[key] = (deadline, spec, message)
+                queue[key] = fresh
                 created += 1
                 continue
             if entry.__class__ is tuple:

@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .config import DEFAULT_LOCAL_NETS, PRESET_NAMES, ConfigError, check_keys
+from .config import DEFAULT_LOCAL_NETS, PRESET_NAMES, ConfigError, check_keys, string_tuple
 from .ingest import FlowRecord, Protocol, format_line
 from .scanrules import LocalNetworks, ScanAlert, ScanKind
 
@@ -378,17 +378,15 @@ def gen_config_from_dict(data: dict) -> GenConfig:
     if not isinstance(data, dict):
         raise ConfigError("generator config must be a mapping")
     check_keys(data, GenConfig, "generator config")
-    scans = []
-    for item in data.get("scans", []):
+    items = data.get("scans", [])
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise ConfigError("scans must be a list of mappings")
+    for item in items:
         check_keys(item, ScanSpec, "scan")
-        try:
-            scans.append(ScanSpec(**item))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
     kwargs = {k: v for k, v in data.items() if k != "scans"}
     if "local_nets" in kwargs:
-        kwargs["local_nets"] = tuple(kwargs["local_nets"])
+        kwargs["local_nets"] = string_tuple(kwargs["local_nets"], "local_nets")
     try:
-        return GenConfig(scans=tuple(scans), **kwargs)
-    except TypeError as exc:
+        return GenConfig(scans=tuple(ScanSpec(**item) for item in items), **kwargs)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

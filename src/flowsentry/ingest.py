@@ -6,9 +6,11 @@ import logging
 import os
 import re
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from itertools import repeat
 from typing import BinaryIO, Callable, Iterator, NamedTuple
 
 logger = logging.getLogger(__name__)
@@ -285,6 +287,13 @@ class TailReader:
         out.append((self._line_no, raw.decode("utf-8", errors="replace").rstrip("\r")))
 
 
+@contextmanager
+def _file_lines(source: str) -> Iterator[Iterator[str]]:
+    """A whole file's lines, split and decoded as open_stream describes."""
+    with open(source, "r", encoding="utf-8", errors="replace", newline="\n") as handle:
+        yield map(str.rstrip, handle, repeat("\r\n"))
+
+
 def open_stream(
     source: str,
     mode: str = "batch",
@@ -307,9 +316,8 @@ def open_stream(
     work inside it.
     """
     if mode == "batch":
-        with open(source, "r", encoding="utf-8", errors="replace", newline="\n") as handle:
-            for number, raw in enumerate(handle, 1):
-                yield number, raw.rstrip("\r\n")
+        with _file_lines(source) as lines:
+            yield from enumerate(lines, 1)
         return
     if mode != "follow":
         raise ValueError(f"unknown mode {mode!r}")
@@ -340,18 +348,23 @@ def ingest(
     """
     stats = IngestStats()
 
-    def records() -> Iterator[FlowRecord]:
+    def followed_lines() -> Iterator[str]:
         for item in open_stream(source, mode, poll_interval=poll_interval, stop=stop):
             if isinstance(item, StreamReset):
                 logger.warning("%s was truncated or replaced; following from the top", source)
                 continue
-            stats.lines_read += 1
-            try:
-                record = parse_line(item[1])
-            except ParseError:
-                stats.parse_failures += 1
-                continue
-            stats.records_parsed += 1
-            yield record
+            yield item[1]
+
+    def records() -> Iterator[FlowRecord]:
+        with _file_lines(source) if mode == "batch" else nullcontext(followed_lines()) as lines:
+            for line in lines:
+                stats.lines_read += 1
+                try:
+                    record = parse_line(line)
+                except ParseError:
+                    stats.parse_failures += 1
+                    continue
+                stats.records_parsed += 1
+                yield record
 
     return records(), stats

@@ -6,7 +6,7 @@ from .config import EngineConfig
 from .engine import ContextSpec, CorrelationEngine, Rule, Ruleset
 from .ingest import FlowRecord
 from .reporting import format_fw_line
-from .scanrules import Direction, Watchlist, check_watchlist, classify_direction, derive_keys, scan_alert
+from .scanrules import INCOMING, Watchlist, check_watchlist, classify_direction, derive_keys, scan_alert
 
 
 def build_scan_ruleset(config: EngineConfig, watchlist: Watchlist | None = None) -> Ruleset:
@@ -34,7 +34,7 @@ def build_scan_ruleset(config: EngineConfig, watchlist: Watchlist | None = None)
         alert = check_watchlist(record, direction, watchlist)
         if alert is not None:
             engine.emit(alert)
-        if direction is Direction.INCOMING:
+        if direction is INCOMING:
             engine.add(derive_keys(record), spec, record)
 
     return Ruleset([Rule("flow", lambda record: True, [flow_action])])

@@ -7,7 +7,7 @@ import sys
 from typing import IO, Any, NamedTuple
 
 from .ingest import PROTOCOL_TEXT, FlowRecord, format_tod
-from .scanrules import Direction, ScanAlert, ScanKind, VulnAlert
+from .scanrules import OUTGOING, VERTICAL, Direction, ScanAlert, VulnAlert
 
 
 class FwLine(NamedTuple):
@@ -17,7 +17,7 @@ class FwLine(NamedTuple):
 
 def format_fw_line(record: FlowRecord, direction: Direction, date: str, tz: str) -> str:
     """One firewall-log style line; portless records render their port as 0."""
-    tag = "FWOUT" if direction is Direction.OUTGOING else "FWIN"
+    tag = "FWOUT" if direction is OUTGOING else "FWIN"
     return (
         f"{tag},{date},{format_tod(record.event_time)} {tz} GMT,"
         f"{record.source_ip}:{record.source_port},"
@@ -27,7 +27,7 @@ def format_fw_line(record: FlowRecord, direction: Direction, date: str, tz: str)
 
 def format_scan_alert(alert: ScanAlert) -> str:
     """Header naming the scan kind, then one line per captured probe."""
-    header = "Vertical scan:" if alert.kind is ScanKind.VERTICAL else "Horizontal scan:"
+    header = "Vertical scan:" if alert.kind is VERTICAL else "Horizontal scan:"
     return "\n".join([header, *alert.evidence])
 
 
@@ -133,7 +133,7 @@ class SinkSet:
 
     def traffic(self, direction: Direction, text: str) -> None:
         """Write one firewall-style traffic line to its direction's file."""
-        handle = self._handles.get("outgoing" if direction is Direction.OUTGOING else "incoming")
+        handle = self._handles.get("outgoing" if direction is OUTGOING else "incoming")
         if handle is not None:
             try:
                 handle.write(text + "\n")

@@ -30,6 +30,11 @@ class Direction(Enum):
     OUTGOING = "outgoing"
 
 
+# The members as module constants for per-record code: on Python 3.10 and
+# 3.11, reading one off its Enum class costs several times a global lookup.
+INCOMING, OUTGOING, VERTICAL, HORIZONTAL = Direction.INCOMING, Direction.OUTGOING, ScanKind.VERTICAL, ScanKind.HORIZONTAL
+
+
 # What a scan context groups on: (kind, remote_ip, fixed). Vertical: one
 # remote source probing ports on one local host, so fixed is the
 # destination address. Horizontal: one remote source probing one port
@@ -108,7 +113,7 @@ class LocalNetworks:
 
 def classify_direction(record: FlowRecord, nets: LocalNetworks) -> Direction:
     """Outgoing when the source address is local, incoming otherwise."""
-    return Direction.OUTGOING if nets.contains(record.source_ip) else Direction.INCOMING
+    return OUTGOING if nets.contains(record.source_ip) else INCOMING
 
 
 def derive_keys(record: FlowRecord) -> tuple[ScanKey, ScanKey]:
@@ -116,8 +121,8 @@ def derive_keys(record: FlowRecord) -> tuple[ScanKey, ScanKey]:
     one vertical and one horizontal context."""
     source_ip = record.source_ip
     return (
-        (ScanKind.VERTICAL, source_ip, record.dest_ip),
-        (ScanKind.HORIZONTAL, source_ip, str(record.dest_port)),
+        (VERTICAL, source_ip, record.dest_ip),
+        (HORIZONTAL, source_ip, str(record.dest_port)),
     )
 
 
@@ -162,7 +167,7 @@ class TriggerPolicy:
 
 
 def count_distinct_targets(key: ScanKey, messages: Sequence[FlowRecord]) -> int:
-    if key[0] is ScanKind.VERTICAL:
+    if key[0] is VERTICAL:
         return len({m.dest_port for m in messages})
     return len({m.dest_ip for m in messages})
 
@@ -181,7 +186,7 @@ def scan_alert(ctx: "Context") -> ScanAlert:
         (
             kind,
             remote_ip,
-            fixed if kind is ScanKind.VERTICAL else int(fixed),
+            fixed if kind is VERTICAL else int(fixed),
             tuple(map(evidence_line, messages)),
             format_tod(messages[0].event_time),
             format_tod(messages[-1].event_time),
@@ -226,7 +231,7 @@ class Watchlist:
 
 
 def check_watchlist(record: FlowRecord, direction: Direction, watchlist: Watchlist) -> VulnAlert | None:
-    if direction is Direction.INCOMING:
+    if direction is INCOMING:
         entry = watchlist.incoming.get(record.dest_port)
     else:
         entry = watchlist.outgoing.get(record.source_port)

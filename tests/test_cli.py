@@ -221,6 +221,27 @@ def test_analyze_counts_a_summary_into_a_closed_pipe_as_a_failed_write(tmp_path,
         assert (tmp_path / "piped" / f"{name}_{log.name}").read_bytes() == quiet
 
 
+def test_baseline_into_a_closed_pipe_writes_every_file_and_exits_2(tmp_path, capsys, monkeypatch):
+    from flowsentry import baseline
+
+    monkeypatch.setattr(baseline, "PROGRESS_EVERY", 2)
+    log = write_corpus(tmp_path, adjacency="adjacent")
+    args = ["baseline", str(log), "--date", "2004/11/05", "--out-dir"]
+    assert run_command(args + [str(tmp_path / "quiet")]) == 0
+    assert capsys.readouterr().out.count(" lines!\n") > 2
+    stdout = ClosedPipe()
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stdout)
+        assert run_command(args + [str(tmp_path / "piped")]) == 2
+    # The first progress line fails and ends progress; the summary fails too.
+    assert stdout.writes == 2
+    assert capsys.readouterr().err == "warning: 2 output writes failed; an output file or stdout is incomplete\n"
+    for name in ("incoming", "outgoing", "portscans", "vulscans"):
+        quiet = (tmp_path / "quiet" / f"{name}_{log.name}").read_bytes()
+        assert (tmp_path / "piped" / f"{name}_{log.name}").read_bytes() == quiet
+    assert (tmp_path / "quiet" / f"portscans_{log.name}").read_bytes()
+
+
 def test_analyze_reports_a_failed_final_flush_and_still_prints_the_summary(tmp_path, capsys, monkeypatch):
     real_open = SinkSet.open
     handles = []
@@ -349,6 +370,17 @@ def test_bad_config_file_exits_1(tmp_path, capsys):
     assert run_command(["analyze", str(log), "--config", str(config)]) == 1
 
 
+@pytest.mark.parametrize(
+    "local_nets", [5, "10.0.0.0/8", [5], {"a": "10.0.0.0/8"}], ids=["int", "string", "int-list", "mapping"]
+)
+def test_badly_shaped_local_nets_in_a_config_file_exit_1(tmp_path, capsys, local_nets):
+    log = write_corpus(tmp_path)
+    config = tmp_path / "engine.yaml"
+    config.write_text(yaml.safe_dump({"local_nets": local_nets}), encoding="utf-8")
+    assert run_command(["analyze", str(log), "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: local_nets must be a list of strings\n"
+
+
 @pytest.mark.parametrize("flag", ["--timeout", "--tick-interval"])
 def test_nan_durations_exit_1(tmp_path, capsys, flag):
     log = write_corpus(tmp_path)
@@ -430,6 +462,24 @@ def test_generate_bad_yaml_exits_1(tmp_path):
     assert run_command(["generate", str(bad)]) == 1
     bad.write_text(yaml.safe_dump({"duration": 60, "background_rate": 0.5, "rate": 1}))
     assert run_command(["generate", str(bad)]) == 1
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"scans": [5]}, "scans must be a list of mappings"),
+        ({"scans": 5}, "scans must be a list of mappings"),
+        ({"scans": {"kind": "horizontal"}}, "scans must be a list of mappings"),
+        ({"local_nets": 5}, "local_nets must be a list of strings"),
+    ],
+    ids=["int-scan", "int-scans", "mapping-scans", "int-local-nets"],
+)
+def test_generate_badly_shaped_yaml_values_exit_1(tmp_path, capsys, extra, message):
+    bad = tmp_path / "gen.yaml"
+    bad.write_text(yaml.safe_dump({"duration": 60, "background_rate": 0.5, **extra}), encoding="utf-8")
+    assert run_command(["generate", str(bad), "-o", str(tmp_path / "out.log")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.log").exists()
 
 
 def test_generate_missing_config_exits_2(tmp_path):

@@ -346,6 +346,24 @@ def test_a_one_message_context_keeps_its_identity_and_place_once_asked_for():
     assert fired_by_advance(engine, 15.0) == [("k", 10.0, 3), ("later", 10.0, 1)]
 
 
+def test_one_add_stores_one_entry_under_every_key_it_creates():
+    spec = ContextSpec(10.0, trigger=lambda key, messages: True, on_fire=fires_key)
+    engine = CorrelationEngine(Ruleset([]))
+    first, second = make_record(dport=1), make_record(dport=2)
+    engine.add(("a", "b"), spec, first)
+    queue = engine._queues[10.0]
+    assert queue["a"] is queue["b"]
+    # A second message builds a's Context in place; b keeps the shared entry.
+    engine.advance(5.0)
+    engine.add(("a",), spec, second)
+    assert queue["b"] == (10.0, spec, first)
+    # b expires on its own; a keeps both messages and its later deadline.
+    assert fired_by_advance(engine, 10.0) == [("b", 10.0, 1)]
+    ctx = engine.find_context("a")
+    assert ctx.messages == [first, second] and ctx.deadline == 15.0
+    assert fired_by_advance(engine, 15.0) == [("a", 10.0, 2)]
+
+
 def test_a_scan_run_builds_a_context_only_for_what_fires(tmp_path, monkeypatch):
     built = []
     real_init = Context.__init__

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from flowsentry.ingest import (
     FlowRecord,
+    IngestStats,
     ParseError,
     Protocol,
     StreamReset,
@@ -234,6 +235,33 @@ def test_ingest_missing_file_raises_up_front(tmp_path):
     records, _ = ingest(str(tmp_path / "nope.log"))
     with pytest.raises(OSError):
         next(records)
+
+
+def test_batch_ingest_parses_what_open_stream_yields(tmp_path):
+    path = tmp_path / "flows.log"
+    path.write_bytes(
+        make_line().encode() + b"\r\n"  # CRLF
+        + make_line(time="14:04:00").encode() + b"\r" + make_line(time="14:04:01").encode() + b"\n"  # lone CR
+        + make_line(time="14:05:00").encode() + b"\r\r\n"
+        + make_line(src="5.5.\xff.10").encode("latin-1") + b"\n"  # invalid UTF-8
+        + b"\n"  # blank
+        + b"not a flow line\n"
+        + make_line(dport="99999").encode() + b"\n"
+        + make_line(time="14:06:00").encode()  # no newline at the end
+    )
+    want, want_stats = [], IngestStats()
+    for _, text in open_stream(str(path)):
+        want_stats.lines_read += 1
+        try:
+            want.append(parse_line(text))
+        except ParseError:
+            want_stats.parse_failures += 1
+        else:
+            want_stats.records_parsed += 1
+    records, stats = ingest(str(path), "batch")
+    assert list(records) == want
+    assert stats == want_stats == IngestStats(lines_read=8, records_parsed=3, parse_failures=5)
+    assert stats.lines_read == stats.records_parsed + stats.parse_failures
 
 
 def _follow_one_poll(path):
