@@ -4,6 +4,7 @@ bench. Exit codes: 0 ok, 1 bad configuration or usage, 2 I/O failure."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -34,50 +35,54 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _engine_options() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE", help="YAML config file; flags override it")
-    common.add_argument("--timeout", type=float, dest="timeout", metavar="SECONDS", help="context timeout")
-    common.add_argument("--policy", choices=TRIGGER_MODES, help="scan trigger policy")
-    common.add_argument("--min-messages", type=int, dest="min_messages", metavar="N", help="trigger threshold")
-    common.add_argument("--local-net", action="append", dest="local_nets", metavar="CIDR", help="local network (repeatable)")
-    common.add_argument("--watchlist", metavar="FILE", help="vulnerable services watchlist")
-    common.add_argument("--date", metavar="yyyy/mm/dd", help="date stamped onto traffic lines")
-    common.add_argument("--tz", metavar="TZ", help="timezone label for traffic lines")
-    common.add_argument("--out-dir", dest="out_dir", metavar="DIR", help="where output files land")
-    common.add_argument("--tick-interval", type=float, dest="tick_interval", metavar="SECONDS", help="follow-mode expiry tick")
-    return common
+def _option_groups() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The engine flags as three parent parsers, grouped by what reads them: inputs,
+    detection and outputs. Each dest is the EngineConfig field the flag overrides."""
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--config", metavar="FILE", help="YAML config file; flags override it")
+    inputs.add_argument("--local-net", action="append", dest="local_nets", metavar="CIDR", help="local network (repeatable)")
+    inputs.add_argument("--watchlist", dest="watchlist_path", metavar="FILE", help="vulnerable services watchlist")
+    detection = argparse.ArgumentParser(add_help=False)
+    detection.add_argument("--timeout", type=float, dest="timeout_value", metavar="SECONDS", help="context timeout")
+    detection.add_argument("--policy", choices=TRIGGER_MODES, dest="trigger_policy", help="scan trigger policy")
+    detection.add_argument("--min-messages", type=int, metavar="N", help="trigger threshold")
+    outputs = argparse.ArgumentParser(add_help=False)
+    outputs.add_argument("--date", metavar="yyyy/mm/dd", help="date stamped onto traffic lines")
+    outputs.add_argument("--tz", metavar="TZ", help="timezone label for traffic lines")
+    outputs.add_argument("--out-dir", dest="output_dir", metavar="DIR", help="where output files land")
+    return inputs, detection, outputs
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="flowsentry", description="flow log correlation and port scan detection")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    common = _engine_options()
+    inputs, detection, outputs = _option_groups()
 
-    p = sub.add_parser("analyze", parents=[common], help="batch-correlate one or more logs")
+    p = sub.add_parser("analyze", parents=[inputs, detection, outputs], help="batch-correlate one or more logs")
     p.add_argument("logs", nargs="+", metavar="LOG")
     p.add_argument("--no-console", action="store_true", help="do not echo alerts to stdout")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("follow", parents=[common], help="tail a growing log and correlate live")
+    p = sub.add_parser("follow", parents=[inputs, detection, outputs], help="tail a growing log and correlate live")
     p.add_argument("log", metavar="LOG")
     p.add_argument("--no-console", action="store_true", help="do not echo alerts to stdout")
+    p.add_argument("--tick-interval", type=float, metavar="SECONDS", help="expiry tick when no lines arrive")
     p.set_defaults(func=_cmd_follow)
 
-    p = sub.add_parser("generate", parents=[common], help="write a synthetic log plus ground truth")
+    p = sub.add_parser("generate", help="write a synthetic log plus ground truth")
     p.add_argument("genconfig", metavar="CONFIG", help=f"generator YAML, or a preset name ({', '.join(PRESET_NAMES)})")
     p.add_argument("-o", "--output", metavar="FILE", help="log file to write")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("baseline", parents=[common], help="run the adjacent-entry batch detector")
+    p = sub.add_parser("baseline", parents=[inputs, outputs], help="run the adjacent-entry batch detector")
     p.add_argument("log", metavar="LOG")
     p.set_defaults(func=_cmd_baseline)
 
-    p = sub.add_parser("compare", parents=[common], help="diff engine and baseline findings on one log")
+    p = sub.add_parser("compare", parents=[inputs, detection], help="diff engine and baseline findings on one log")
     p.add_argument("log", metavar="LOG")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("bench", parents=[common], help="measure pipeline throughput")
+    p = sub.add_parser("bench", parents=[inputs, detection], help="measure pipeline throughput")
     p.add_argument("log", metavar="LOG")
     p.add_argument("--repetitions", type=int, default=3, metavar="N", help="timing runs (median wins)")
     p.set_defaults(func=_cmd_bench)
@@ -86,21 +91,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> EngineConfig:
-    config = load_config(args.config) if getattr(args, "config", None) else EngineConfig()
-    out_dir = getattr(args, "out_dir", None) or os.environ.get(OUTPUT_DIR_ENV)
-    local = getattr(args, "local_nets", None)
-    return merge_overrides(
-        config,
-        timeout_value=getattr(args, "timeout", None),
-        trigger_policy=getattr(args, "policy", None),
-        min_messages=getattr(args, "min_messages", None),
-        local_nets=tuple(local) if local else None,
-        watchlist_path=getattr(args, "watchlist", None),
-        date=getattr(args, "date", None),
-        tz=getattr(args, "tz", None),
-        output_dir=out_dir,
-        tick_interval=getattr(args, "tick_interval", None),
-    )
+    """Flags beat FLOWSENTRY_OUTPUT_DIR (output_dir only), which beats the config file, then defaults."""
+    config = load_config(args.config) if args.config else EngineConfig()
+    fields = {field.name for field in dataclasses.fields(EngineConfig)}
+    overrides = {name: value for name, value in vars(args).items() if name in fields}
+    if overrides.get("local_nets"):
+        overrides["local_nets"] = tuple(overrides["local_nets"])
+    if "output_dir" in overrides:
+        overrides["output_dir"] = overrides["output_dir"] or os.environ.get(OUTPUT_DIR_ENV)
+    return merge_overrides(config, **overrides)
 
 
 def _output_sinks(output_dir: str, base: str | None, console: bool = False) -> SinkSet:
@@ -187,8 +186,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     truth_path = out_path + ".truth"
     with open(truth_path, "w", encoding="utf-8") as handle:
         handle.write(ground_truth_to_text(truth))
-    print(f"wrote {len(lines)} lines to {out_path}, {len(truth.scans)} scans in {truth_path}")
-    return 0
+    sinks = SinkSet.null()
+    _print_lines(sinks, f"wrote {len(lines)} lines to {out_path}, {len(truth.scans)} scans in {truth_path}")
+    return _write_failure_status(sinks)
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
@@ -223,9 +223,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     records = list(record_iter)
     engine_report = run_engine(records, build_scan_ruleset(config, watchlist))
     baseline_report = baseline_scan(records, watchlist, config.networks(), config.resolved_date(), config.tz)
-    for line in compare_reports(engine_report.alerts, baseline_report).summary_lines():
-        print(line)
-    return 0
+    sinks = SinkSet.null()
+    _print_lines(sinks, *compare_reports(engine_report.alerts, baseline_report).summary_lines())
+    return _write_failure_status(sinks)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -235,10 +235,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ConfigError("bench needs at least 3 repetitions")
     config = _resolve_config(args)
     result = measure_throughput(args.log, config, repetitions=args.repetitions)
-    print(result.json_line())
-    for line in result.summary_lines():
-        print(line)
-    return 0
+    sinks = SinkSet.null()
+    _print_lines(sinks, result.json_line(), *result.summary_lines())
+    return _write_failure_status(sinks)
 
 
 def run_command(argv: list[str] | None = None) -> int:

@@ -304,7 +304,7 @@ class CorrelationEngine:
         return self.report
 
 
-def run_engine(records: Iterable[FlowRecord], ruleset: Ruleset, *, sinks: Any = None, clock: Any = None) -> EngineReport:
+def run_engine(records: Iterable[FlowRecord], ruleset: Ruleset, *, sinks: Any = None) -> EngineReport:
     """Run the batch pipeline over an ordered record stream.
 
     Engine time comes from record timestamps. Output is a pure function of
@@ -316,7 +316,7 @@ def run_engine(records: Iterable[FlowRecord], ruleset: Ruleset, *, sinks: Any = 
     context store and free nothing; reference counting still frees every
     expired context at once.
     """
-    engine = CorrelationEngine(ruleset, clock=clock, sinks=sinks)
+    engine = CorrelationEngine(ruleset, sinks=sinks)
     was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .config import EngineConfig
+from .config import EngineConfig, resolve_watchlist
 from .engine import ContextSpec, CorrelationEngine, Rule, Ruleset
 from .ingest import FlowRecord
 from .reporting import format_fw_line
@@ -12,8 +12,8 @@ from .scanrules import INCOMING, Watchlist, check_watchlist, classify_direction,
 def build_scan_ruleset(config: EngineConfig, watchlist: Watchlist | None = None) -> Ruleset:
     """One rule over the flow grammar. Its action runs the per-record work
     in a fixed order: split traffic into firewall-style lines (when the
-    engine has sinks), check the watchlist, then feed incoming records into
-    scan contexts.
+    engine has sinks), check the watchlist (resolve_watchlist(config)'s when
+    none is given), then feed incoming records into scan contexts.
 
     Scan contexts are only built for incoming traffic; our own outbound
     connections are not scans of us. Direction is classified once per
@@ -22,7 +22,7 @@ def build_scan_ruleset(config: EngineConfig, watchlist: Watchlist | None = None)
     nets = config.networks()
     date = config.resolved_date()
     tz = config.tz
-    watchlist = watchlist if watchlist is not None else Watchlist()
+    watchlist = watchlist if watchlist is not None else resolve_watchlist(config)[0]
 
     spec = ContextSpec(timeout_value=config.timeout_value, trigger=config.policy().trigger(), on_fire=scan_alert)
 

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, output files, and option precedence."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -381,13 +382,20 @@ def test_badly_shaped_local_nets_in_a_config_file_exit_1(tmp_path, capsys, local
     assert capsys.readouterr().err == "error: local_nets must be a list of strings\n"
 
 
-@pytest.mark.parametrize("flag", ["--timeout", "--tick-interval"])
-def test_nan_durations_exit_1(tmp_path, capsys, flag):
+@pytest.mark.parametrize(
+    "command, flag", [("analyze", "--timeout"), ("follow", "--tick-interval")], ids=["--timeout", "--tick-interval"]
+)
+def test_nan_durations_exit_1(tmp_path, capsys, command, flag):
     log = write_corpus(tmp_path)
-    assert run_command(analyze_args(log, tmp_path / "out", flag, "nan", "--no-console")) == 1
+    assert run_command([command, str(log), "--out-dir", str(tmp_path / "out"), flag, "nan", "--no-console"]) == 1
     assert "must be positive" in capsys.readouterr().err
     # An infinite duration is allowed: nothing expires before the end.
-    assert run_command(analyze_args(log, tmp_path / "out", flag, "inf", "--no-console")) == 0
+    if command == "analyze":
+        assert run_command(analyze_args(log, tmp_path / "out", flag, "inf", "--no-console")) == 0
+    else:
+        # A real follow run never stops, so the config it would run with is checked.
+        args = build_parser().parse_args([command, str(log), flag, "inf"])
+        assert cli._resolve_config(args).tick_interval == float("inf")
 
 
 @pytest.mark.parametrize("net", ["::/0", "::ffff:10.0.0.0/104"])
@@ -500,7 +508,7 @@ def test_baseline_counts_by_adjacency(tmp_path, capsys):
 
 def test_compare_flags_interleaved_scans_as_engine_only(tmp_path, capsys):
     log = write_corpus(tmp_path)
-    assert run_command(["compare", str(log), "--timeout", "900", "--date", "2004/11/05"]) == 0
+    assert run_command(["compare", str(log), "--timeout", "900"]) == 0
     out = capsys.readouterr().out
     assert "engine only: 1" in out
     assert "5.5.5.10 (non-adjacent)" in out
@@ -519,3 +527,100 @@ def test_bench_too_few_repetitions_exits_1(tmp_path, capsys):
     log = write_corpus(tmp_path)
     assert run_command(["bench", str(log), "--repetitions", "2"]) == 1
     assert "repetitions" in capsys.readouterr().err
+
+
+INPUTS = {"--config", "--local-net", "--watchlist"}
+DETECTION = {"--timeout", "--policy", "--min-messages"}
+OUTPUTS = {"--date", "--tz", "--out-dir"}
+
+COMMAND_OPTIONS = {
+    "analyze": INPUTS | DETECTION | OUTPUTS | {"--no-console"},
+    "follow": INPUTS | DETECTION | OUTPUTS | {"--no-console", "--tick-interval"},
+    "baseline": INPUTS | OUTPUTS,
+    "compare": INPUTS | DETECTION,
+    "bench": INPUTS | DETECTION | {"--repetitions"},
+    "generate": {"-o", "--output"},
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_OPTIONS)
+def test_each_command_takes_only_the_flags_it_reads(command):
+    (subcommands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parser = subcommands.choices[command]
+    options = {s for action in parser._actions for s in action.option_strings}
+    assert options == COMMAND_OPTIONS[command] | {"-h", "--help"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "netbus-slow", "--timeout", "5"],
+        ["compare", "flows.log", "--out-dir", "out"],
+        ["baseline", "flows.log", "--out-dir", "out", "--policy", "distinct_targets"],
+        ["analyze", "flows.log", "--out-dir", "out", "--tick-interval", "0.5"],
+        ["bench", "flows.log", "--date", "2004/11/05"],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-2]}",
+)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write_corpus(tmp_path)
+    assert run_command(argv) == 1
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}\n" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["flows.log"]
+
+
+def test_each_flag_sets_the_config_field_it_names():
+    argv = ["follow", "live.log", "--local-net", "192.168.0.0/16", "--local-net", "10.0.0.0/8", "--watchlist", "w.txt",
+            "--timeout", "60", "--policy", "distinct_targets", "--min-messages", "3", "--date", "2004/11/05",
+            "--tz", "+1:00", "--out-dir", "o", "--tick-interval", "0.5"]
+    config = cli._resolve_config(build_parser().parse_args(argv))
+    assert config.as_dict() == {
+        "timeout_value": 60.0, "trigger_policy": "distinct_targets", "min_messages": 3,
+        "local_nets": ["192.168.0.0/16", "10.0.0.0/8"], "watchlist_path": "w.txt", "date": "2004/11/05",
+        "tz": "+1:00", "output_dir": "o", "tick_interval": 0.5,
+    }
+
+
+@pytest.mark.parametrize("command", ["analyze", "follow", "baseline", "compare", "bench"])
+def test_output_dir_precedence_and_a_config_file_of_every_key(tmp_path, monkeypatch, command):
+    config = tmp_path / "engine.yaml"
+    every_key = {"timeout_value": 60.0, "trigger_policy": "distinct_targets", "min_messages": 3,
+                 "local_nets": ["192.168.0.0/16"], "watchlist_path": "w.txt", "date": "2004/11/05",
+                 "tz": "+1:00", "output_dir": "from-file", "tick_interval": 0.5}
+    config.write_text(yaml.safe_dump(every_key), encoding="utf-8")
+    argv = [command, "flows.log", "--config", str(config)]
+    assert cli._resolve_config(build_parser().parse_args(argv)).as_dict() == every_key
+    monkeypatch.setenv(OUTPUT_DIR_ENV, "from-env")
+    # The variable stands in for --out-dir, so only commands that write files read it.
+    want = "from-env" if command in ("analyze", "follow", "baseline") else "from-file"
+    assert cli._resolve_config(build_parser().parse_args(argv)).output_dir == want
+    if want == "from-env":
+        flagged = build_parser().parse_args(argv + ["--out-dir", "from-flag"])
+        assert cli._resolve_config(flagged).output_dir == "from-flag"
+
+
+@pytest.mark.parametrize("argv", [["compare", "flows.log"], ["bench", "flows.log"]], ids=lambda argv: argv[0])
+def test_a_summary_into_a_closed_pipe_is_a_failed_write_not_an_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write_corpus(tmp_path)
+    stdout = ClosedPipe()
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stdout)
+        assert run_command(argv) == 2
+    assert stdout.writes == 1
+    assert capsys.readouterr().err == "warning: 1 output writes failed; an output file or stdout is incomplete\n"
+
+
+def test_generate_into_a_closed_pipe_writes_both_files_and_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_command(["generate", "netbus-slow", "-o", "quiet.log"]) == 0
+    capsys.readouterr()
+    stdout = ClosedPipe()
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stdout)
+        assert run_command(["generate", "netbus-slow", "-o", "piped.log"]) == 2
+    assert stdout.writes == 1
+    assert capsys.readouterr().err == "warning: 1 output writes failed; an output file or stdout is incomplete\n"
+    for suffix in ("", ".truth"):
+        assert (tmp_path / f"piped.log{suffix}").read_bytes() == (tmp_path / f"quiet.log{suffix}").read_bytes()

@@ -95,6 +95,15 @@ def test_watched_service_hit_emits_a_vulnerability_alert():
     assert vulns[0].entry.name == "NetBus"
 
 
+def test_without_a_watchlist_the_ruleset_reads_the_configured_one(tmp_path):
+    watch = tmp_path / "watch.txt"
+    watch.write_text("HttpAlt,8080,in\n", encoding="utf-8")
+    records = [make_record(dport=8080), make_record(dport=12346)]
+    for config, watched in [(EngineConfig(watchlist_path=str(watch)), ["HttpAlt"]), (EngineConfig(), ["NetBus"])]:
+        report = run_engine(records, build_scan_ruleset(config))
+        assert [a.entry.name for a in report.alerts if isinstance(a, VulnAlert)] == watched
+
+
 def test_incoming_traffic_splits_to_fwin(tmp_path):
     config = EngineConfig(timeout_value=900.0, date="2004/11/05")
     sinks = SpySinks()
