@@ -29,6 +29,17 @@ logger = logging.getLogger(__name__)
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; we reserve 2 for I/O."""
 
+    # The subcommand parsers by name, set by build_parser.
+    commands: dict[str, argparse.ArgumentParser] = {}
+
+    def parse_args(self, args: Any = None, namespace: Any = None) -> Any:
+        # argparse hands the flags a subcommand does not take up to the top
+        # parser; report them with the usage of the subcommand given them.
+        namespace, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.commands.get(namespace.command, self).error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace
+
     def error(self, message: str) -> Any:
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
@@ -87,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repetitions", type=int, default=3, metavar="N", help="timing runs (median wins)")
     p.set_defaults(func=_cmd_bench)
 
+    parser.commands = sub.choices
     return parser
 
 

@@ -6,12 +6,11 @@ import logging
 import os
 import re
 import time
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import repeat
-from typing import BinaryIO, Callable, Iterator, NamedTuple
+from typing import BinaryIO, Callable, Iterator, NamedTuple, TextIO
 
 logger = logging.getLogger(__name__)
 
@@ -53,7 +52,14 @@ _SEPARATOR_NAMES = {",": "comma", ":": "colon"}
 
 # The whole grammar as one pattern with one capture per field, for lines
 # that parse.
-_LINE_MATCH = re.compile("".join(f"({pattern}){re.escape(sep)}" for _, pattern, sep in _GRAMMAR)).fullmatch
+_LINE_PATTERN = "".join(f"({pattern}){re.escape(sep)}" for _, pattern, sep in _GRAMMAR)
+_LINE_MATCH = re.compile(_LINE_PATTERN).fullmatch
+
+# The same grammar over a block of whole lines: one match per line, each a
+# tuple of the twelve fields. A line the grammar rejects, a blank one
+# included, matches the second alternative, so its first field is empty.
+# The carriage returns open_stream drops from a line's end are skipped.
+_find_lines = re.compile(rf"^(?:{_LINE_PATTERN}\r*|.*)$", re.M).findall
 
 # The grammar one token at a time, used only to locate the first offending
 # byte once the whole-line match has failed. An address is scanned as any
@@ -155,6 +161,41 @@ PROTOCOL_TEXT = {member: member.value for member in Protocol}
 _new_tuple = tuple.__new__
 
 
+def _seconds_of_day(hours: str, minutes: str, seconds: str) -> int:
+    return (int(hours) * 3600 + int(minutes) * 60 + int(seconds)) % 86400
+
+
+def _record(
+    raw_1: str,
+    raw_2: str,
+    event_time: int,
+    protocol: str,
+    source_ip: str,
+    source_token: str,
+    dest_ip: str,
+    dest_token: str,
+    raw_8: str,
+    packets: str,
+) -> FlowRecord:
+    """The record of a line's field texts, given its event_time. A port may
+    come out above 65535, which the caller rejects."""
+    return _new_tuple(
+        FlowRecord,
+        (
+            int(raw_1),
+            int(raw_2),
+            event_time,
+            _PROTOCOLS[protocol],
+            source_ip,
+            0 if source_token == "--" else int(source_token),
+            dest_ip,
+            0 if dest_token == "--" else int(dest_token),
+            int(raw_8),
+            int(packets),
+        ),
+    )
+
+
 def parse_line(line: str) -> FlowRecord:
     """Parse one log line. Raises ParseError (with the offset of the first
     grammar violation) on anything else; never raises anything different."""
@@ -165,27 +206,13 @@ def parse_line(line: str) -> FlowRecord:
     raw_1, raw_2, hours, minutes, seconds, protocol, source_ip, source_token, dest_ip, dest_token, raw_8, packets = (
         m.groups()
     )
-    source_port = 0 if source_token == "--" else int(source_token)
-    if source_port > 65535:
+    event_time = _seconds_of_day(hours, minutes, seconds)
+    record = _record(raw_1, raw_2, event_time, protocol, source_ip, source_token, dest_ip, dest_token, raw_8, packets)
+    if record.source_port > 65535:
         raise ParseError(m.start(8), "source port out of range")
-    dest_port = 0 if dest_token == "--" else int(dest_token)
-    if dest_port > 65535:
+    if record.dest_port > 65535:
         raise ParseError(m.start(10), "destination port out of range")
-    return _new_tuple(
-        FlowRecord,
-        (
-            int(raw_1),
-            int(raw_2),
-            (int(hours) * 3600 + int(minutes) * 60 + int(seconds)) % 86400,
-            _PROTOCOLS[protocol],
-            source_ip,
-            source_port,
-            dest_ip,
-            dest_port,
-            int(raw_8),
-            int(packets),
-        ),
-    )
+    return record
 
 
 def _port_token(port: int) -> str:
@@ -287,11 +314,34 @@ class TailReader:
         out.append((self._line_no, raw.decode("utf-8", errors="replace").rstrip("\r")))
 
 
-@contextmanager
-def _file_lines(source: str) -> Iterator[Iterator[str]]:
-    """A whole file's lines, split and decoded as open_stream describes."""
-    with open(source, "r", encoding="utf-8", errors="replace", newline="\n") as handle:
-        yield map(str.rstrip, handle, repeat("\r\n"))
+def _open_text(source: str) -> TextIO:
+    """A log file opened for reading as open_stream describes: split only at
+    newline bytes, decoded as UTF-8 with undecodable bytes replaced."""
+    return open(source, "r", encoding="utf-8", errors="replace", newline="\n")
+
+
+# Characters batch ingest reads at a time; each read's whole lines are
+# parsed by one regex call.
+BLOCK_CHARS = 1 << 14
+
+
+def _file_blocks(source: str) -> Iterator[tuple[str, int]]:
+    """A file's lines as (text, end) blocks: text[:end] holds whole lines
+    joined by newlines. A read's unfinished last line is carried into the
+    next block, and at the end of the file it is a line of its own."""
+    with _open_text(source) as handle:
+        pieces = []
+        while chunk := handle.read(BLOCK_CHARS):
+            pieces.append(chunk)
+            end = chunk.rfind("\n")
+            if end >= 0:
+                text = "".join(pieces)
+                end += len(text) - len(chunk)
+                yield text, end
+                pieces = [text[end + 1 :]]
+    tail = "".join(pieces)
+    if tail:
+        yield tail, len(tail)
 
 
 def open_stream(
@@ -316,8 +366,8 @@ def open_stream(
     work inside it.
     """
     if mode == "batch":
-        with _file_lines(source) as lines:
-            yield from enumerate(lines, 1)
+        with _open_text(source) as handle:
+            yield from enumerate(map(str.rstrip, handle, repeat("\r\n")), 1)
         return
     if mode != "follow":
         raise ValueError(f"unknown mode {mode!r}")
@@ -348,20 +398,35 @@ def ingest(
     """
     stats = IngestStats()
 
-    def followed_lines() -> Iterator[str]:
+    def followed_blocks() -> Iterator[tuple[str, int]]:
         for item in open_stream(source, mode, poll_interval=poll_interval, stop=stop):
             if isinstance(item, StreamReset):
                 logger.warning("%s was truncated or replaced; following from the top", source)
                 continue
-            yield item[1]
+            yield item[1], len(item[1])
 
     def records() -> Iterator[FlowRecord]:
-        with _file_lines(source) if mode == "batch" else nullcontext(followed_lines()) as lines:
-            for line in lines:
+        # The one parse-and-count loop, converting fields as parse_line does.
+        # Logs come in time order, so most lines repeat the stamp texts last
+        # converted, and reuse that event_time.
+        hours_seen = minutes_seen = seconds_seen = None
+        event_time = 0
+        for text, end in _file_blocks(source) if mode == "batch" else followed_blocks():
+            for (
+                raw_1, raw_2, hours, minutes, seconds, protocol,
+                source_ip, source_token, dest_ip, dest_token, raw_8, packets,
+            ) in _find_lines(text, 0, end):
                 stats.lines_read += 1
-                try:
-                    record = parse_line(line)
-                except ParseError:
+                if not raw_1:
+                    stats.parse_failures += 1
+                    continue
+                if seconds != seconds_seen or minutes != minutes_seen or hours != hours_seen:
+                    hours_seen, minutes_seen, seconds_seen = hours, minutes, seconds
+                    event_time = _seconds_of_day(hours, minutes, seconds)
+                record = _record(
+                    raw_1, raw_2, event_time, protocol, source_ip, source_token, dest_ip, dest_token, raw_8, packets
+                )
+                if record[5] > 65535 or record[7] > 65535:  # source_port, dest_port
                     stats.parse_failures += 1
                     continue
                 stats.records_parsed += 1

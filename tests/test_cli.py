@@ -570,6 +570,26 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, mon
     assert os.listdir(tmp_path) == ["flows.log"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "netbus-slow", "--timeout", "5"],
+        ["compare", "flows.log", "--out-dir", "out"],
+        ["baseline", "flows.log", "--out-dir", "out", "--policy", "distinct_targets"],
+        ["analyze", "flows.log", "--out-dir", "out", "--tick-interval", "0.5"],
+        ["bench", "flows.log", "--date", "2004/11/05"],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-2]}",
+)
+def test_a_flag_the_command_does_not_read_is_reported_with_its_usage(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write_corpus(tmp_path)
+    assert run_command(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: flowsentry {argv[0]} [-h]")
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
+
 def test_each_flag_sets_the_config_field_it_names():
     argv = ["follow", "live.log", "--local-net", "192.168.0.0/16", "--local-net", "10.0.0.0/8", "--watchlist", "w.txt",
             "--timeout", "60", "--policy", "distinct_targets", "--min-messages", "3", "--date", "2004/11/05",

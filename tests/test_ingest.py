@@ -264,6 +264,83 @@ def test_batch_ingest_parses_what_open_stream_yields(tmp_path):
     assert stats.lines_read == stats.records_parsed + stats.parse_failures
 
 
+def _parsed_lines(path):
+    """Records and stats of parse_line over open_stream's lines: the
+    reference for batch ingest."""
+    records, stats = [], IngestStats()
+    for _, text in open_stream(str(path)):
+        stats.lines_read += 1
+        try:
+            records.append(parse_line(text))
+        except ParseError:
+            stats.parse_failures += 1
+        else:
+            stats.records_parsed += 1
+    return records, stats
+
+
+def _mutate(line, data):
+    at = data.draw(st.integers(0, len(line)))
+    edit = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+    char = data.draw(st.sampled_from([",", ":", ".", "-", "0", "9", "a", " ", "\r", "\x85", "\u2028", "\u20ac"]))
+    return line[:at] + ("" if edit == "delete" else char) + line[at + (edit != "insert") :]
+
+
+_PORTS = st.sampled_from(["0", "3434", "--", "65535", "65536", "099999"])
+_VALID_LINES = st.builds(
+    make_line,
+    time=st.sampled_from(["14:03:33", "14:03:34", "1:0:5", "01:00:05", "02:00:05", "25:00:05", "23:59:59"]),
+    protocol=st.sampled_from(["TCP", "UDP", "ICMP"]),
+    sport=_PORTS,
+    dport=_PORTS,
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@pytest.mark.parametrize("block_chars", [1, 7, 64, None])
+@given(data=st.data())
+def test_batch_ingest_matches_parse_line_over_any_block_edges(tmp_path, monkeypatch, block_chars, data):
+    module = sys.modules[ingest.__module__]
+    if block_chars is not None:
+        monkeypatch.setattr(module, "BLOCK_CHARS", block_chars)
+    long_address = "0" * (2 * module.BLOCK_CHARS) + "5.5.5.10"
+    kinds = st.sampled_from(["valid", "valid", "mutated", "blank", "long", "long-bad", "lone-cr", "undecodable"])
+    lines = []
+    for kind in data.draw(st.lists(kinds, max_size=30)):
+        if kind == "valid":
+            line = data.draw(_VALID_LINES).encode()
+        elif kind == "mutated":
+            line = _mutate(data.draw(_VALID_LINES), data).encode()
+        elif kind == "blank":
+            line = b""
+        elif kind == "long":
+            line = make_line(src=long_address).encode()
+        elif kind == "long-bad":
+            line = make_line(src=long_address, dport="70000").encode()
+        elif kind == "lone-cr":
+            line = data.draw(_VALID_LINES).encode() + b"\r" + data.draw(_VALID_LINES).encode()
+        else:
+            line = make_line(src="5.5.\xff.10").encode("latin-1") + data.draw(st.sampled_from([b"\xe2\x82", b"\xc3"]))
+        lines.append(line + b"\r" * data.draw(st.integers(0, 3)) + b"\n")
+    if lines and data.draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip(b"\n")
+    path = tmp_path / "flows.log"
+    path.write_bytes(b"".join(lines))
+    records, stats = ingest(str(path), "batch")
+    assert (list(records), stats) == _parsed_lines(path)
+
+
+def test_a_repeated_stamp_text_reuses_its_time_and_any_other_text_is_computed(tmp_path):
+    stamps = ["01:00:05", "02:00:05", "01:00:05", "1:0:5", "25:00:05"]
+    path = tmp_path / "flows.log"
+    path.write_text("".join(make_line(time=stamp) + "\n" for stamp in stamps))
+    want = [3605, 7205, 3605, 3605, 3605]
+    records, _ = ingest(str(path), "batch")
+    assert [record.event_time for record in records] == want
+    records, _ = ingest(str(path), "follow", stop=iter((False, True)).__next__)
+    assert [record.event_time for record in records] == want
+
+
 def _follow_one_poll(path):
     """The items of a single follow-mode poll of the file."""
     return list(open_stream(str(path), "follow", stop=iter((False, True)).__next__))
