@@ -4,12 +4,13 @@ with sliding timeouts, and deterministic expiry."""
 from __future__ import annotations
 
 import gc
+import heapq
 import math
 import time
 from collections import Counter, OrderedDict, defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .ingest import FlowRecord, IngestStats, ingest
 
@@ -46,16 +47,33 @@ class ContextSpec:
     sits on the hot path and should be cheap. on_fire runs in key order,
     after every context due at that instant has been removed, and gets a
     Context of its own.
+
+    min_messages is the fewest messages on which the trigger can hold: a
+    context that holds fewer expires with no trigger call. The default, 1,
+    calls the trigger on every expiring context.
+
+    grouping, when given, is (group, keys): keys(record) gives, as a
+    sequence, the distinct keys that add receives for the record, and
+    group(record) what they all share, so that records of different groups
+    never share a key. Such a spec needs min_messages of at least 2, and
+    the engine then keeps a group seen once as one source-first entry
+    rather than one context per key (see CorrelationEngine). A spec with a
+    grouping must not share a key and a timeout value with a spec without
+    one.
     """
 
     timeout_value: float
     trigger: Callable[[Any, Sequence[FlowRecord]], bool]
     on_fire: Callable[["Context"], Any]
+    grouping: tuple[Callable[[FlowRecord], Any], Callable[[FlowRecord], Sequence[Any]]] | None = None
+    min_messages: int = 1
 
     def __post_init__(self) -> None:
         # Written so that NaN fails too.
         if not self.timeout_value > 0:
             raise ValueError(f"timeout_value must be positive, not {self.timeout_value!r}")
+        if self.grouping is not None and self.min_messages < 2:
+            raise ValueError("a spec with a grouping needs min_messages of at least 2")
 
 
 class Context:
@@ -63,14 +81,20 @@ class Context:
 
     The deadline slides: each added message resets it to that message's
     engine time plus spec.timeout_value. Expiry evaluates spec.trigger
-    once; spec.on_fire runs only if it holds, and the context is gone
-    either way.
+    once, unless the context holds fewer than spec.min_messages messages;
+    spec.on_fire runs only if it holds, and the context is gone either way.
 
     A context holds at least one message from the moment engine.add
     creates it. The engine keeps one that holds a single message as a plain
     (deadline, spec, message) entry and builds the Context when a second
     message arrives or when find_context or live_contexts asks for it; from
     then on the same object stays in the store until it expires.
+
+    A one-message context of a spec with a grouping may instead be a
+    pending half of its group's source-first entry. It becomes a Context,
+    kept from then on, only when a later message shares its key; the
+    Context that find_context or live_contexts returns for a pending half
+    is built anew on each call and leaves the store as it was.
     """
 
     __slots__ = ("key", "spec", "deadline", "messages")
@@ -99,6 +123,7 @@ def _context_at(queue: OrderedDict[Any, Any], key: Any) -> Context:
 
 
 _context_key = attrgetter("key")
+_deadline = attrgetter("deadline")
 
 
 @dataclass
@@ -159,15 +184,33 @@ class CorrelationEngine:
     the highest time seen so far. So within one timeout value, the order in
     which contexts were last touched is also their deadline order, and each
     timeout gets one queue kept in touch order: a slide moves the context to
-    the back, expiry pops from the front. These queues are the only store,
-    so a key names one live context per timeout value: rules that share a
-    key and a timeout share the context, rules with different timeouts
-    do not.
+    the back, expiry pops from the front. A key names one live context per
+    timeout value: rules that share a key and a timeout share the context,
+    rules with different timeouts do not.
+
+    A spec with a grouping (see ContextSpec) adds a second queue per timeout,
+    also in deadline order, of source-first entries keyed by group. A
+    message all of whose keys are new, from a group with no entry, becomes
+    one entry (deadline, spec, message, halves, keys) in place of its
+    one-message contexts, its pending halves: bit i of halves stands for
+    key i of spec's keys(message). No key is both a pending half and in the
+    queue, so the group's entry is read only when one of a message's keys
+    misses in the queue. keys is None until then: the first such message
+    rebuilds them from the entry's message, and a group that came back
+    keeps them. A pending half whose key the new message shares moves to
+    the back of the queue as a Context holding both messages; the other
+    halves keep the entry and its place, and the new message's other new
+    keys go to the queue. An entry leaves at its deadline with no trigger
+    call, since such a spec's floor is at least 2, and counts one expired
+    context per half still pending.
 
     add(keys, spec, message) is the only store write and returns nothing,
     so a context that only ever holds one message is never built as a
     Context. find_context, live_contexts() and queue_lengths() are the
-    reads; the first two build the contexts they return.
+    reads; the first two build the contexts they return. They show each
+    pending half as a Context rebuilt on every call, so reading one leaves
+    the store as it was; find_context may scan every pending entry of a
+    timeout.
     """
 
     def __init__(self, ruleset: Ruleset, *, clock: Any = None, sinks: Any = None):
@@ -175,10 +218,15 @@ class CorrelationEngine:
         self.clock = clock if clock is not None else BatchClock()
         self.sinks = sinks
         self.report = EngineReport()
-        # The only context store: one touch-ordered queue per timeout value.
-        # An entry is a Context, or (deadline, spec, message) for a context
+        # The context store: one touch-ordered queue per timeout value. An
+        # entry is a Context, or (deadline, spec, message) for a context
         # that holds one message and that no caller has asked for yet.
         self._queues: defaultdict[float, OrderedDict[Any, Any]] = defaultdict(OrderedDict)
+        # Source-first entries by timeout value, then by group, in deadline
+        # order: (deadline, spec, message, halves, keys or None).
+        self._sources: defaultdict[float, OrderedDict[Any, tuple[float, ContextSpec, FlowRecord, int, Any]]] = (
+            defaultdict(OrderedDict)
+        )
         self._now = 0.0
         # No queued deadline is earlier: a create lowers it, a slide only
         # raises deadlines, and each expiry scan recomputes it.
@@ -188,16 +236,40 @@ class CorrelationEngine:
     def now(self) -> float:
         return self._now
 
+    def _pending(self, timeout: float) -> Iterator[Context]:
+        """A new Context for each pending half under timeout, in deadline order."""
+        for deadline, spec, message, halves, keys in self._sources.get(timeout, {}).values():
+            for i, key in enumerate(keys if keys is not None else spec.grouping[1](message)):
+                if halves >> i & 1:
+                    yield _build(key, (deadline, spec, message))
+
     def live_contexts(self) -> list[Context]:
-        """Every live context, timeout by timeout, each in deadline order."""
-        return [_context_at(queue, key) for queue in self._queues.values() for key in queue]
+        """Every live context, timeout by timeout, each in deadline order.
+        Pending halves are rebuilt on each call and merged in."""
+        live: list[Context] = []
+        for timeout, queue in self._queues.items():
+            queued = [_context_at(queue, key) for key in queue]
+            live += heapq.merge(queued, self._pending(timeout), key=_deadline)
+        return live
 
     def queue_lengths(self) -> dict[float, int]:
-        return {timeout: len(queue) for timeout, queue in self._queues.items()}
+        """Live contexts per timeout value, each pending half counted as one."""
+        return {
+            timeout: len(queue) + sum(entry[3].bit_count() for entry in self._sources.get(timeout, {}).values())
+            for timeout, queue in self._queues.items()
+        }
 
     def find_context(self, key: Any) -> Context | None:
-        """The live context for key under the first timeout value that has one."""
-        return next((_context_at(queue, key) for queue in self._queues.values() if key in queue), None)
+        """The live context for key under the first timeout value that has
+        one. A pending half is found by scanning that timeout's pending
+        entries, and is rebuilt on each call."""
+        for timeout, queue in self._queues.items():
+            if key in queue:
+                return _context_at(queue, key)
+            for ctx in self._pending(timeout):
+                if ctx.key == key:
+                    return ctx
+        return None
 
     def emit(self, alert: Any) -> None:
         report = self.report
@@ -212,31 +284,116 @@ class CorrelationEngine:
         timeout = spec.timeout_value
         queue = self._queues[timeout]
         deadline = self._now + timeout
-        # One entry for every key created here; _context_at replaces only its own key's.
-        fresh = (deadline, spec, message)
-        created = 0
-        for key in keys:
-            entry = queue.get(key)
-            if entry is None:
-                queue[key] = fresh
-                created += 1
-                continue
-            if entry.__class__ is tuple:
-                entry = _context_at(queue, key)
-            if deadline != entry.deadline:
-                entry.deadline = deadline
-                queue.move_to_end(key)
-            entry.messages.append(message)
+        grouping = spec.grouping
+        if grouping is None:
+            # One entry for every key created here; _context_at replaces only its own key's.
+            fresh = (deadline, spec, message)
+            created = 0
+            for key in keys:
+                entry = queue.get(key)
+                if entry is None:
+                    queue[key] = fresh
+                    created += 1
+                    continue
+                if entry.__class__ is tuple:
+                    entry = _context_at(queue, key)
+                if deadline != entry.deadline:
+                    entry.deadline = deadline
+                    queue.move_to_end(key)
+                entry.messages.append(message)
+        else:
+            missed = 0
+            for key in keys:
+                entry = queue.get(key)
+                if entry is None:
+                    missed += 1
+                    new_key = key
+                    continue
+                if entry.__class__ is tuple:
+                    # _context_at and a slide in one step.
+                    ctx = queue[key] = Context(key, entry[1], deadline)
+                    ctx.messages += (entry[2], message)
+                    if deadline != entry[0]:
+                        queue.move_to_end(key)
+                    continue
+                if deadline != entry.deadline:
+                    entry.deadline = deadline
+                    queue.move_to_end(key)
+                entry.messages.append(message)
+            if not missed:
+                return
+            # The keys that missed are the ones still not in the queue.
+            sources = self._sources[timeout]
+            group = grouping[0](message)
+            pending = sources.get(group)
+            if pending is not None:
+                created = self._split(queue, sources, group, pending, keys, spec, message, deadline)
+            elif missed == len(keys):
+                # Every key is new: the group is seen once so far.
+                sources[group] = (deadline, spec, message, (1 << missed) - 1, None)
+                created = missed
+            elif missed == 1:
+                queue[new_key] = (deadline, spec, message)
+                created = 1
+            else:
+                fresh = (deadline, spec, message)
+                for key in keys:
+                    if key not in queue:
+                        queue[key] = fresh
+                created = missed
         if created:
             self.report.contexts_created += created
             if deadline < self._next_due:
                 self._next_due = deadline
 
+    def _split(
+        self,
+        queue: OrderedDict[Any, Any],
+        sources: OrderedDict[Any, Any],
+        group: Any,
+        pending: tuple[float, ContextSpec, FlowRecord, int, Any],
+        keys: Sequence[Any],
+        spec: ContextSpec,
+        message: FlowRecord,
+        deadline: float,
+    ) -> int:
+        """add for the keys of message that are not in queue when their
+        group already has a source-first entry. A key equal to a pending
+        half moves that half to the back of the queue as a Context holding
+        the entry's message and then this one; any other is created in the
+        queue. Returns the number created."""
+        _, held_spec, held, halves, held_keys = pending
+        if held_keys is None:
+            held_keys = held_spec.grouping[1](held)
+        fresh = (deadline, spec, message)
+        created = 0
+        for key in keys:
+            if key in queue:
+                continue
+            if key in held_keys:
+                bit = 1 << held_keys.index(key)
+                if halves & bit:
+                    halves ^= bit
+                    ctx = queue[key] = Context(key, held_spec, deadline)
+                    ctx.messages += (held, message)
+                    continue
+            queue[key] = fresh
+            created += 1
+        if not halves:
+            del sources[group]
+        elif halves != pending[3] or pending[4] is None:
+            # Assigning to a present key keeps its place in deadline order.
+            # The group came back, so its keys are kept for the next time.
+            sources[group] = (pending[0], held_spec, held, halves, held_keys)
+        return created
+
     def expire_contexts(self, now: float) -> None:
         """Remove every context whose deadline is <= now, firing triggers.
 
         Each due context leaves its queue from the front, in deadline order,
-        and its trigger is evaluated as it leaves. Only then, with every due
+        and its trigger is evaluated as it leaves if it holds at least its
+        spec's min_messages; due source-first entries leave their own queue
+        the same way, with no trigger call. Only then, with every due
         context removed, do the ones whose trigger held fire, in key order
         whatever their deadlines, so runs are reproducible regardless of
         store internals. Their alerts leave through emit.
@@ -246,7 +403,7 @@ class CorrelationEngine:
         report = self.report
         triggered: list[Context] = []
         next_due = math.inf
-        for queue in self._queues.values():
+        for timeout, queue in self._queues.items():
             popitem = queue.popitem
             expired = 0
             while queue:
@@ -262,10 +419,26 @@ class CorrelationEngine:
                     break
                 expired += 1
                 if lazy:
-                    if entry[1].trigger(key, (entry[2],)):
+                    spec = entry[1]
+                    if spec.min_messages < 2 and spec.trigger(key, (entry[2],)):
                         triggered.append(_build(key, entry))
-                elif entry.spec.trigger(key, entry.messages):
-                    triggered.append(entry)
+                else:
+                    spec, messages = entry.spec, entry.messages
+                    if len(messages) >= spec.min_messages and spec.trigger(key, messages):
+                        triggered.append(entry)
+            sources = self._sources.get(timeout)
+            if sources:
+                popitem = sources.popitem
+                while sources:
+                    group, entry = popitem(last=False)
+                    deadline = entry[0]
+                    if deadline > now:
+                        sources[group] = entry
+                        sources.move_to_end(group, last=False)
+                        if deadline < next_due:
+                            next_due = deadline
+                        break
+                    expired += entry[3].bit_count()
             report.contexts_expired += expired
         self._next_due = next_due
         if not triggered:

@@ -196,6 +196,20 @@ def _record(
     )
 
 
+def _overlong_field(m: re.Match[str]) -> ParseError:
+    """The error for a line whose fields match the grammar but one of
+    whose digit runs int() refuses: longer than the interpreter's limit on
+    digits converted from text (sys.get_int_max_str_digits())."""
+    for group, (what, _, _) in enumerate(_GRAMMAR, 1):
+        text = m[group]
+        if text.isdigit():
+            try:
+                int(text)
+            except ValueError:
+                return ParseError(m.start(group), f"{what} has too many digits")
+    raise AssertionError("no field of the line is too long to convert")
+
+
 def parse_line(line: str) -> FlowRecord:
     """Parse one log line. Raises ParseError (with the offset of the first
     grammar violation) on anything else; never raises anything different."""
@@ -206,8 +220,13 @@ def parse_line(line: str) -> FlowRecord:
     raw_1, raw_2, hours, minutes, seconds, protocol, source_ip, source_token, dest_ip, dest_token, raw_8, packets = (
         m.groups()
     )
-    event_time = _seconds_of_day(hours, minutes, seconds)
-    record = _record(raw_1, raw_2, event_time, protocol, source_ip, source_token, dest_ip, dest_token, raw_8, packets)
+    try:
+        event_time = _seconds_of_day(hours, minutes, seconds)
+        record = _record(
+            raw_1, raw_2, event_time, protocol, source_ip, source_token, dest_ip, dest_token, raw_8, packets
+        )
+    except ValueError:
+        raise _overlong_field(m) from None
     if record.source_port > 65535:
         raise ParseError(m.start(8), "source port out of range")
     if record.dest_port > 65535:
@@ -420,12 +439,16 @@ def ingest(
                 if not raw_1:
                     stats.parse_failures += 1
                     continue
-                if seconds != seconds_seen or minutes != minutes_seen or hours != hours_seen:
-                    hours_seen, minutes_seen, seconds_seen = hours, minutes, seconds
-                    event_time = _seconds_of_day(hours, minutes, seconds)
-                record = _record(
-                    raw_1, raw_2, event_time, protocol, source_ip, source_token, dest_ip, dest_token, raw_8, packets
-                )
+                try:
+                    if seconds != seconds_seen or minutes != minutes_seen or hours != hours_seen:
+                        event_time = _seconds_of_day(hours, minutes, seconds)
+                        hours_seen, minutes_seen, seconds_seen = hours, minutes, seconds
+                    record = _record(
+                        raw_1, raw_2, event_time, protocol, source_ip, source_token, dest_ip, dest_token, raw_8, packets
+                    )
+                except ValueError:  # a digit run longer than int() converts
+                    stats.parse_failures += 1
+                    continue
                 if record[5] > 65535 or record[7] > 65535:  # source_port, dest_port
                     stats.parse_failures += 1
                     continue

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from .config import EngineConfig, resolve_watchlist
-from .engine import ContextSpec, CorrelationEngine, Rule, Ruleset
+from .engine import CorrelationEngine, Rule, Ruleset
 from .ingest import FlowRecord
 from .reporting import format_fw_line
-from .scanrules import INCOMING, Watchlist, check_watchlist, classify_direction, derive_keys, scan_alert
+from .scanrules import INCOMING, Watchlist, check_watchlist, classify_direction, derive_keys, scan_spec
 
 
 def build_scan_ruleset(config: EngineConfig, watchlist: Watchlist | None = None) -> Ruleset:
@@ -24,7 +24,7 @@ def build_scan_ruleset(config: EngineConfig, watchlist: Watchlist | None = None)
     tz = config.tz
     watchlist = watchlist if watchlist is not None else resolve_watchlist(config)[0]
 
-    spec = ContextSpec(timeout_value=config.timeout_value, trigger=config.policy().trigger(), on_fire=scan_alert)
+    spec = scan_spec(config.timeout_value, config.policy())
 
     def flow_action(engine: CorrelationEngine, record: FlowRecord) -> None:
         direction = classify_direction(record, nets)

@@ -8,12 +8,11 @@ import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
+from .engine import Context, ContextSpec
 from .ingest import FlowRecord, format_tod
-
-if TYPE_CHECKING:
-    from .engine import Context
 
 logger = logging.getLogger(__name__)
 
@@ -166,6 +165,23 @@ class TriggerPolicy:
         return lambda key, messages: count_distinct_targets(key, messages) >= threshold
 
 
+_source_ip = attrgetter("source_ip")
+
+
+def scan_spec(timeout_value: float, policy: TriggerPolicy) -> ContextSpec:
+    """The scan rule's ContextSpec. Both keys of a record share its remote
+    source, and the policy's threshold is also the fewest messages a scan
+    context can fire on; so a source seen once is one engine entry, and its
+    one-message contexts expire with no trigger call."""
+    return ContextSpec(
+        timeout_value,
+        trigger=policy.trigger(),
+        on_fire=scan_alert,
+        grouping=(_source_ip, derive_keys),
+        min_messages=policy.min_messages,
+    )
+
+
 def count_distinct_targets(key: ScanKey, messages: Sequence[FlowRecord]) -> int:
     if key[0] is VERTICAL:
         return len({m.dest_port for m in messages})
@@ -177,7 +193,7 @@ def count_distinct_targets(key: ScanKey, messages: Sequence[FlowRecord]) -> int:
 _new_tuple = tuple.__new__
 
 
-def scan_alert(ctx: "Context") -> ScanAlert:
+def scan_alert(ctx: Context) -> ScanAlert:
     """Build the alert for a scan context whose trigger already held."""
     kind, remote_ip, fixed = ctx.key
     messages = ctx.messages

@@ -155,6 +155,46 @@ def test_rejections_always_raise_parse_error(line):
         parse_line(line)
 
 
+_NUMERIC_FIELDS = ("raw1", "raw2", "hours", "minutes", "seconds", "sport", "dport", "raw8", "packets")
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    field=st.sampled_from(_NUMERIC_FIELDS),
+    digits=st.one_of(st.sampled_from([4299, 4300, 4301, 5000]), st.integers(4299, 5000)),
+    lead=st.sampled_from("0123456789"),
+)
+def test_a_long_digit_run_in_any_numeric_field_never_escapes_the_parse_error(tmp_path, field, digits, lead):
+    # Python refuses to convert more than sys.get_int_max_str_digits()
+    # digits from text (4,300 by default since 3.10.7; 0 means no limit).
+    run = lead + "7" * (digits - 1)
+    stamp = {"hours": "14", "minutes": "03", "seconds": "33"}
+    fields = {}
+    if field in stamp:
+        stamp[field] = run
+    else:
+        fields[field] = run
+    line = make_line(time="{hours}:{minutes}:{seconds}".format(**stamp), **fields)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    try:
+        record = parse_line(line)
+    except ParseError as error:
+        # Too many digits to convert, or a port out of range: either way the
+        # offset is the start of the field.
+        assert error.offset == line.index(run)
+        assert (limit and digits > limit) or field in ("sport", "dport")
+        record = None
+    else:
+        assert not (limit and digits > limit)
+    valid = make_line()
+    log = tmp_path / f"{field}-{digits}-{lead}.log"
+    log.write_text(f"{valid}\n{line}\n{valid}\n", encoding="utf-8")
+    records, stats = ingest(str(log), "batch")
+    expected = [parse_line(valid)] + ([record] if record is not None else []) + [parse_line(valid)]
+    assert list(records) == expected
+    assert (stats.lines_read, stats.parse_failures) == (3, 1 if record is None else 0)
+
+
 def test_format_renders_portless_and_pads_time():
     record = make_record(time=tod("1:2:3"), protocol=Protocol.ICMP, sport=0, dport=0)
     assert format_line(record) == "639,1,01:02:03,ICMP,5.5.5.10:--,10.0.0.7:--,1,2"

@@ -1,5 +1,7 @@
 """The assembled detection ruleset, end to end over small record streams."""
 
+from collections import Counter
+
 import pytest
 
 from flowsentry import pipeline, scanrules
@@ -132,7 +134,7 @@ def test_a_run_without_sinks_formats_no_traffic_lines(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["min_messages", "distinct_targets"])
-def test_trigger_runs_once_per_expired_context(monkeypatch, mode):
+def test_trigger_runs_once_per_expired_context_that_reaches_the_floor(monkeypatch, mode):
     calls = []
     real_trigger = scanrules.TriggerPolicy.trigger
 
@@ -140,7 +142,7 @@ def test_trigger_runs_once_per_expired_context(monkeypatch, mode):
         holds = real_trigger(policy)
 
         def counting_holds(key, messages):
-            calls.append(key)
+            calls.append((key, len(messages)))
             return holds(key, messages)
 
         return counting_holds
@@ -148,9 +150,15 @@ def test_trigger_runs_once_per_expired_context(monkeypatch, mode):
     monkeypatch.setattr(scanrules.TriggerPolicy, "trigger", counting_trigger)
     vertical = [make_record(time=f"15:00:{i:02d}", src="6.6.6.6", dport=7000 + i) for i in range(3)]
     lone = [make_record(time="15:10:00", src="7.7.7.7")]
+    records = slow_probe_records() + vertical + lone
     config = EngineConfig(timeout_value=900.0, trigger_policy=mode, min_messages=2, date="2004/11/05")
-    report = run_engine(slow_probe_records() + vertical + lone, build_scan_ruleset(config, default_watchlist()))
-    # Both scans fire; the one-probe contexts expire quietly.
+    report = run_engine(records, build_scan_ruleset(config, default_watchlist()))
+    # Every probe is within one timeout of the last from its source, so each
+    # key's context holds every record with that key.
+    sizes = Counter(key for record in records for key in scanrules.derive_keys(record))
+    assert sum(1 for size in sizes.values() if size < 2) == 9
+    # Both scans fire; the one-probe contexts expire with no trigger call.
     assert report.contexts_fired == 2
-    assert report.contexts_expired > report.contexts_fired
-    assert len(calls) == report.contexts_expired
+    assert report.contexts_expired == len(sizes) == 11
+    assert sorted(calls) == sorted((key, size) for key, size in sizes.items() if size >= 2)
+    assert all(size >= 2 for _, size in calls)

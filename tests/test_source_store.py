@@ -1,0 +1,199 @@
+"""The scan rule's source-first store against the generic context store.
+
+A spec with a grouping keeps a remote source seen once as one engine entry
+and splits it into contexts only when the source comes back. The same
+spec without its grouping and floor takes the generic path, so any
+difference between the two runs is the source-first store's doing.
+"""
+
+from dataclasses import replace
+from operator import attrgetter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from flowsentry.engine import ContextSpec, CorrelationEngine, Rule, Ruleset
+from flowsentry.scanrules import HORIZONTAL, VERTICAL, TriggerPolicy, derive_keys, scan_spec
+
+from conftest import make_record
+
+_DAY = 86400
+
+
+def engine_for(spec):
+    def action(engine, record):
+        engine.add(derive_keys(record), spec, record)
+
+    return CorrelationEngine(Ruleset([Rule("scan", lambda record: True, [action])]))
+
+
+def live(engine):
+    """(key, deadline, messages) of every live context, in deadline order
+    and then by key: the order of equal deadlines is not part of the API."""
+    contexts = engine.live_contexts()
+    deadlines = [ctx.deadline for ctx in contexts]
+    assert deadlines == sorted(deadlines)
+    return sorted((ctx.deadline, ctx.key, tuple(ctx.messages)) for ctx in contexts)
+
+
+def counts(report):
+    return report.contexts_created, report.contexts_expired, report.contexts_fired
+
+
+# Three sources, destinations and ports, so a source often comes back to a
+# destination or a port it has already probed, or to both, or to neither.
+steps = st.lists(
+    st.tuples(
+        # Seconds since the previous flow: negative steps back, and a gap of
+        # exactly one timeout lands on a deadline.
+        st.one_of(st.integers(-90, 400), st.sampled_from([-300, -60, 0, 60, 300])),
+        st.sampled_from(("5.5.5.1", "5.5.5.2", "6.6.6.6")),
+        st.sampled_from(("10.0.0.1", "10.0.0.2", "10.0.0.3")),
+        st.sampled_from((80, 443, 12346)),
+    ),
+    max_size=40,
+)
+
+
+def stream(start, steps):
+    t = start
+    for n, (gap, src, dst, dport) in enumerate(steps):
+        t += gap
+        yield make_record(time=t % _DAY, src=src, sport=1000 + n, dst=dst, dport=dport)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    start=st.integers(_DAY - 1200, _DAY + 600),
+    steps=steps,
+    timeout=st.sampled_from([60.0, 300.0]),
+    mode=st.sampled_from(["min_messages", "distinct_targets"]),
+    threshold=st.integers(2, 3),
+)
+def test_the_source_first_store_matches_the_generic_store(start, steps, timeout, mode, threshold):
+    # Streams start around midnight, so most cross it; the time of day wraps.
+    grouped = scan_spec(timeout, TriggerPolicy(mode, threshold))
+    generic = replace(grouped, grouping=None, min_messages=1)
+    # live_contexts() builds every one-message queue entry into a Context,
+    # so a third engine that is never read keeps the plain entries.
+    read, quiet, plain = engine_for(grouped), engine_for(grouped), engine_for(generic)
+    engines = (read, quiet, plain)
+    for record in stream(start, steps):
+        fired = []
+        for engine in engines:
+            seen = len(engine.report.alerts)
+            engine.process(record)
+            fired.append(engine.report.alerts[seen:])
+        assert fired[0] == fired[1] == fired[2]
+        assert counts(read.report) == counts(quiet.report) == counts(plain.report)
+        assert read.queue_lengths() == quiet.queue_lengths() == plain.queue_lengths()
+        assert live(read) == live(plain)
+    ends = [len(engine.report.alerts) for engine in engines]
+    for engine in engines:
+        engine.finish()
+    assert read.report.alerts[ends[0]:] == quiet.report.alerts[ends[1]:] == plain.report.alerts[ends[2]:]
+    assert counts(read.report) == counts(quiet.report) == counts(plain.report)
+    assert quiet.live_contexts() == [] and sum(quiet.queue_lengths().values()) == 0
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    start=st.integers(_DAY - 1200, _DAY + 600),
+    steps=steps,
+    timeout=st.sampled_from([60.0, 300.0]),
+    mode=st.sampled_from(["min_messages", "distinct_targets"]),
+)
+def test_reading_the_store_changes_no_alert_or_count(start, steps, timeout, mode):
+    spec = scan_spec(timeout, TriggerPolicy(mode, 2))
+    quiet, read = engine_for(spec), engine_for(spec)
+    for record in stream(start, steps):
+        quiet.process(record)
+        read.process(record)
+        for ctx in read.live_contexts():
+            found = read.find_context(ctx.key)
+            assert (found.key, found.deadline, found.messages) == (ctx.key, ctx.deadline, ctx.messages)
+        assert read.find_context((VERTICAL, "9.9.9.9", "10.0.0.1")) is None
+        assert quiet.report == read.report
+    assert quiet.finish() == read.finish()
+
+
+def test_a_source_splits_one_half_at_a_time_and_keeps_its_place():
+    spec = scan_spec(100.0, TriggerPolicy("min_messages", 2))
+    engine = engine_for(spec)
+    sources, queue = engine._sources[100.0], engine._queues[100.0]
+
+    def process(time, src, dst, dport):
+        record = make_record(time=time, src=src, dst=dst, dport=dport)
+        engine.process(record)
+        return record
+
+    a = process(0, "5.5.5.1", "10.0.0.1", 80)
+    b = process(5, "6.6.6.6", "10.0.0.1", 80)
+    assert list(sources) == ["5.5.5.1", "6.6.6.6"] and len(queue) == 0
+    assert engine.queue_lengths() == {100.0: 4} and engine.report.contexts_created == 4
+    # Same host, another port: the vertical half splits off and slides, the
+    # new port gets a context of its own, and the horizontal half keeps the
+    # entry, still first in deadline order.
+    a_host = process(10, "5.5.5.1", "10.0.0.1", 443)
+    assert list(sources) == ["5.5.5.1", "6.6.6.6"] and sources["5.5.5.1"][0] == 100.0
+    vertical = engine.find_context((VERTICAL, "5.5.5.1", "10.0.0.1"))
+    assert vertical.messages == [a, a_host] and vertical.deadline == 110.0
+    assert engine.find_context((HORIZONTAL, "5.5.5.1", "80")).messages == [a]
+    # Same port, another host: the horizontal half splits off instead.
+    b_port = process(12, "6.6.6.6", "10.0.0.2", 80)
+    assert engine.find_context((HORIZONTAL, "6.6.6.6", "80")).messages == [b, b_port]
+    assert engine.find_context((VERTICAL, "6.6.6.6", "10.0.0.1")).messages == [b]
+    # A third record takes the half the second one left over.
+    a_port = process(20, "5.5.5.1", "10.0.0.3", 80)
+    assert list(sources) == ["6.6.6.6"]
+    assert engine.find_context((HORIZONTAL, "5.5.5.1", "80")).messages == [a, a_port]
+    assert engine.report.contexts_created == 7 and engine.queue_lengths() == {100.0: 7}
+    # The half-consumed entry expires alone at its own deadline, silently.
+    engine.advance(105.0)
+    assert list(sources) == [] and engine.report.contexts_expired == 1
+    assert engine.report.alerts == []
+    report = engine.finish()
+    assert (report.contexts_created, report.contexts_expired, report.contexts_fired) == (7, 7, 3)
+    assert [(alert.kind, alert.remote_ip) for alert in report.alerts] == [
+        (HORIZONTAL, "5.5.5.1"),
+        (HORIZONTAL, "6.6.6.6"),
+        (VERTICAL, "5.5.5.1"),
+    ]
+
+
+def test_a_grouping_needs_a_floor_of_two():
+    spec = scan_spec(100.0, TriggerPolicy("min_messages", 2))
+    with pytest.raises(ValueError, match="min_messages of at least 2"):
+        replace(spec, min_messages=1)
+
+
+def three_keys(record):
+    src = record.source_ip
+    return (("host", src, record.dest_ip), ("port", src, record.dest_port), ("pair", src, record.dest_ip, record.dest_port))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(start=st.integers(0, 600), steps=steps, timeout=st.sampled_from([60.0, 300.0]))
+def test_a_grouping_of_three_keys_matches_the_generic_store(start, steps, timeout):
+    # Any number of a record's keys can be new, pending or in the queue.
+    grouped = ContextSpec(
+        timeout,
+        trigger=lambda key, messages: len(messages) >= 2,
+        on_fire=lambda ctx: (ctx.key, tuple(ctx.messages)),
+        grouping=(attrgetter("source_ip"), three_keys),
+        min_messages=2,
+    )
+    generic = replace(grouped, grouping=None, min_messages=1)
+    engines = []
+    for spec in (grouped, grouped, generic):
+        def action(engine, record, spec=spec):
+            engine.add(three_keys(record), spec, record)
+        engines.append(CorrelationEngine(Ruleset([Rule("three", lambda record: True, [action])])))
+    read, quiet, plain = engines
+    for record in stream(start, steps):
+        for engine in engines:
+            engine.process(record)
+        assert read.report == quiet.report == plain.report
+        assert read.queue_lengths() == quiet.queue_lengths() == plain.queue_lengths()
+        assert live(read) == live(plain)
+    assert read.finish() == quiet.finish() == plain.finish()
