@@ -45,6 +45,9 @@ class EngineConfig:
     tick_interval: float = 1.0
 
     def __post_init__(self) -> None:
+        check_number(self.timeout_value, "timeout_value")
+        check_number(self.tick_interval, "tick_interval")
+        check_int(self.min_messages, "min_messages")
         # Written so that NaN fails too.
         if not self.timeout_value > 0:
             raise ConfigError("timeout_value must be positive")
@@ -84,6 +87,19 @@ def check_keys(data: dict[str, Any], cls: type, what: str) -> None:
     unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
+
+
+def check_number(value: Any, what: str) -> None:
+    """ConfigError unless value is an int or a float. A bool is neither,
+    though Python counts it as an int: YAML reads yes and true as True."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, not {value!r}")
+
+
+def check_int(value: Any, what: str) -> None:
+    """ConfigError unless value is an int that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, not {value!r}")
 
 
 def string_tuple(value: Any, what: str) -> tuple[str, ...]:

@@ -60,13 +60,22 @@ class ContextSpec:
     rather than one context per key (see CorrelationEngine). A spec with a
     grouping must not share a key and a timeout value with a spec without
     one.
+
+    hold, when given, maps a record to its held message, the form the
+    store keeps in place of the record: only what trigger and on_fire
+    read. The default, None, holds the record itself. trigger, on_fire,
+    live_contexts() and find_context see only held messages, and group and
+    keys must give the same answer for a record and for its held form. The
+    engine calls hold lazily: a record that stays alone in a new
+    source-first entry is held as given until its group comes back.
     """
 
     timeout_value: float
-    trigger: Callable[[Any, Sequence[FlowRecord]], bool]
+    trigger: Callable[[Any, Sequence[Any]], bool]
     on_fire: Callable[["Context"], Any]
-    grouping: tuple[Callable[[FlowRecord], Any], Callable[[FlowRecord], Sequence[Any]]] | None = None
+    grouping: tuple[Callable[[Any], Any], Callable[[Any], Sequence[Any]]] | None = None
     min_messages: int = 1
+    hold: Callable[[FlowRecord], Any] | None = None
 
     def __post_init__(self) -> None:
         # Written so that NaN fails too.
@@ -79,6 +88,10 @@ class ContextSpec:
 class Context:
     """A correlation bucket keyed by what the messages have in common.
 
+    messages are held messages, in arrival order: each is spec.hold of the
+    record that engine.add received, or the record itself when the spec
+    has no hold.
+
     The deadline slides: each added message resets it to that message's
     engine time plus spec.timeout_value. Expiry evaluates spec.trigger
     once, unless the context holds fewer than spec.min_messages messages;
@@ -86,9 +99,9 @@ class Context:
 
     A context holds at least one message from the moment engine.add
     creates it. The engine keeps one that holds a single message as a plain
-    (deadline, spec, message) entry and builds the Context when a second
-    message arrives or when find_context or live_contexts asks for it; from
-    then on the same object stays in the store until it expires.
+    (deadline, spec, held message) entry and builds the Context when a
+    second message arrives or when find_context or live_contexts asks for
+    it; from then on the same object stays in the store until it expires.
 
     A one-message context of a spec with a grouping may instead be a
     pending half of its group's source-first entry. It becomes a Context,
@@ -103,10 +116,10 @@ class Context:
         self.key = key
         self.spec = spec
         self.deadline = deadline
-        self.messages: list[FlowRecord] = []
+        self.messages: list[Any] = []
 
 
-def _build(key: Any, entry: tuple[float, ContextSpec, FlowRecord]) -> Context:
+def _build(key: Any, entry: tuple[float, ContextSpec, Any]) -> Context:
     deadline, spec, message = entry
     ctx = Context(key, spec, deadline)
     ctx.messages.append(message)
@@ -188,29 +201,33 @@ class CorrelationEngine:
     timeout value: rules that share a key and a timeout share the context,
     rules with different timeouts do not.
 
-    A spec with a grouping (see ContextSpec) adds a second queue per timeout,
-    also in deadline order, of source-first entries keyed by group. A
-    message all of whose keys are new, from a group with no entry, becomes
-    one entry (deadline, spec, message, halves, keys) in place of its
-    one-message contexts, its pending halves: bit i of halves stands for
-    key i of spec's keys(message). No key is both a pending half and in the
-    queue, so the group's entry is read only when one of a message's keys
-    misses in the queue. keys is None until then: the first such message
-    rebuilds them from the entry's message, and a group that came back
-    keeps them. A pending half whose key the new message shares moves to
-    the back of the queue as a Context holding both messages; the other
-    halves keep the entry and its place, and the new message's other new
-    keys go to the queue. An entry leaves at its deadline with no trigger
-    call, since such a spec's floor is at least 2, and counts one expired
-    context per half still pending.
+    The store keeps held messages (see ContextSpec.hold). A spec with a
+    grouping adds a second queue per timeout, also in deadline order, of
+    source-first entries keyed by group. A record all of whose keys are
+    new, from a group with no entry, becomes one entry (deadline, spec,
+    record, halves, keys) in place of its one-message contexts, its pending
+    halves: bit i of halves stands for key i of spec's keys(record). No key
+    is both a pending half and in the queue, so the group's entry is read
+    only when one of a record's keys misses in the queue. keys is None
+    until then, and the entry holds the record as given: the first such
+    record rebuilds the keys from it, holds it once, and writes both back,
+    so a group that came back keeps its keys and its held message. A
+    pending half whose key the new record shares moves to the back of the
+    queue as a Context holding both held messages; the other halves keep
+    the entry and its place, and the new record's other new keys go to the
+    queue. An entry leaves at its deadline with no trigger call, since such
+    a spec's floor is at least 2, and counts one expired context per half
+    still pending. add calls spec.hold at most once, and only when the
+    record joins the queue or a group already pending.
 
     add(keys, spec, message) is the only store write and returns nothing,
     so a context that only ever holds one message is never built as a
     Context. find_context, live_contexts() and queue_lengths() are the
     reads; the first two build the contexts they return. They show each
     pending half as a Context rebuilt on every call, so reading one leaves
-    the store as it was; find_context may scan every pending entry of a
-    timeout.
+    the store as it was: an entry that still holds its record has its keys
+    rebuilt and its record held on every read. find_context may scan every
+    pending entry of a timeout.
     """
 
     def __init__(self, ruleset: Ruleset, *, clock: Any = None, sinks: Any = None):
@@ -219,12 +236,13 @@ class CorrelationEngine:
         self.sinks = sinks
         self.report = EngineReport()
         # The context store: one touch-ordered queue per timeout value. An
-        # entry is a Context, or (deadline, spec, message) for a context
-        # that holds one message and that no caller has asked for yet.
+        # entry is a Context, or (deadline, spec, held message) for a
+        # context that holds one message and that no caller has asked for yet.
         self._queues: defaultdict[float, OrderedDict[Any, Any]] = defaultdict(OrderedDict)
         # Source-first entries by timeout value, then by group, in deadline
-        # order: (deadline, spec, message, halves, keys or None).
-        self._sources: defaultdict[float, OrderedDict[Any, tuple[float, ContextSpec, FlowRecord, int, Any]]] = (
+        # order: (deadline, spec, record, halves, None) until the group
+        # comes back, then (deadline, spec, held message, halves, keys).
+        self._sources: defaultdict[float, OrderedDict[Any, tuple[float, ContextSpec, Any, int, Any]]] = (
             defaultdict(OrderedDict)
         )
         self._now = 0.0
@@ -237,9 +255,14 @@ class CorrelationEngine:
         return self._now
 
     def _pending(self, timeout: float) -> Iterator[Context]:
-        """A new Context for each pending half under timeout, in deadline order."""
+        """A new Context for each pending half under timeout, in deadline
+        order. An entry that still holds its record is held anew."""
         for deadline, spec, message, halves, keys in self._sources.get(timeout, {}).values():
-            for i, key in enumerate(keys if keys is not None else spec.grouping[1](message)):
+            if keys is None:
+                keys = spec.grouping[1](message)
+                if spec.hold is not None:
+                    message = spec.hold(message)
+            for i, key in enumerate(keys):
                 if halves >> i & 1:
                     yield _build(key, (deadline, spec, message))
 
@@ -279,13 +302,17 @@ class CorrelationEngine:
             report.alerts.append(alert)
 
     def add(self, keys: Iterable[Any], spec: ContextSpec, message: FlowRecord) -> None:
-        """For each key, add message to its live context under spec's
-        timeout value and slide its deadline, or create the context."""
+        """For each key, add message, held as spec.hold says, to its live
+        context under spec's timeout value and slide its deadline, or
+        create the context."""
         timeout = spec.timeout_value
         queue = self._queues[timeout]
         deadline = self._now + timeout
         grouping = spec.grouping
+        hold = spec.hold
         if grouping is None:
+            if hold is not None:
+                message = hold(message)
             # One entry for every key created here; _context_at replaces only its own key's.
             fresh = (deadline, spec, message)
             created = 0
@@ -309,6 +336,10 @@ class CorrelationEngine:
                     missed += 1
                     new_key = key
                     continue
+                if hold is not None:
+                    # Held once, on the first key that hits.
+                    message = hold(message)
+                    hold = None
                 if entry.__class__ is tuple:
                     # _context_at and a slide in one step.
                     ctx = queue[key] = Context(key, entry[1], deadline)
@@ -327,9 +358,12 @@ class CorrelationEngine:
             group = grouping[0](message)
             pending = sources.get(group)
             if pending is not None:
+                if hold is not None:
+                    message = hold(message)
                 created = self._split(queue, sources, group, pending, keys, spec, message, deadline)
             elif missed == len(keys):
-                # Every key is new: the group is seen once so far.
+                # Every key is new: the group is seen once so far, and its
+                # record is held as given.
                 sources[group] = (deadline, spec, message, (1 << missed) - 1, None)
                 created = missed
             elif missed == 1:
@@ -351,20 +385,23 @@ class CorrelationEngine:
         queue: OrderedDict[Any, Any],
         sources: OrderedDict[Any, Any],
         group: Any,
-        pending: tuple[float, ContextSpec, FlowRecord, int, Any],
+        pending: tuple[float, ContextSpec, Any, int, Any],
         keys: Sequence[Any],
         spec: ContextSpec,
-        message: FlowRecord,
+        message: Any,
         deadline: float,
     ) -> int:
-        """add for the keys of message that are not in queue when their
-        group already has a source-first entry. A key equal to a pending
-        half moves that half to the back of the queue as a Context holding
-        the entry's message and then this one; any other is created in the
-        queue. Returns the number created."""
+        """add for the keys of a record that are not in queue when their
+        group already has a source-first entry; message is the record's held
+        form. A key equal to a pending half moves that half to the back of
+        the queue as a Context holding the entry's held message and then
+        this one; any other is created in the queue. At the group's first
+        split the entry's record is held, once. Returns the number created."""
         _, held_spec, held, halves, held_keys = pending
         if held_keys is None:
             held_keys = held_spec.grouping[1](held)
+            if held_spec.hold is not None:
+                held = held_spec.hold(held)
         fresh = (deadline, spec, message)
         created = 0
         for key in keys:
@@ -383,7 +420,8 @@ class CorrelationEngine:
             del sources[group]
         elif halves != pending[3] or pending[4] is None:
             # Assigning to a present key keeps its place in deadline order.
-            # The group came back, so its keys are kept for the next time.
+            # The group came back, so its keys and held message are kept
+            # for the next time.
             sources[group] = (pending[0], held_spec, held, halves, held_keys)
         return created
 

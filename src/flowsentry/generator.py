@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .config import DEFAULT_LOCAL_NETS, PRESET_NAMES, ConfigError, check_keys, string_tuple
+from .config import DEFAULT_LOCAL_NETS, PRESET_NAMES, ConfigError, check_int, check_keys, check_number, string_tuple
 from .ingest import FlowRecord, Protocol, format_line
 from .scanrules import LocalNetworks, ScanAlert, ScanKind
 
@@ -37,6 +37,8 @@ class ScanSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ScanKind(self.kind))
+        for name in ("probes", "inter_probe_gap", "start_time"):
+            check_int(getattr(self, name), name)
         if self.adjacency not in ("adjacent", "interleaved"):
             raise ConfigError(f"unknown adjacency {self.adjacency!r}")
         if self.probes < 2:
@@ -60,6 +62,9 @@ class GenConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "scans", tuple(self.scans))
         object.__setattr__(self, "local_nets", tuple(self.local_nets))
+        check_int(self.duration, "duration")
+        check_number(self.background_rate, "background_rate")
+        check_int(self.start_tod, "start_tod")
         if self.duration < 1:
             raise ConfigError("duration must be at least 1 second")
         if self.background_rate < 0:
@@ -90,7 +95,7 @@ class GenConfig:
             if not nets.contains(spec.target):
                 raise ConfigError(f"vertical target {spec.target} must be local")
         else:
-            if not isinstance(spec.target, int) or not 1 <= spec.target <= 65535:
+            if isinstance(spec.target, bool) or not isinstance(spec.target, int) or not 1 <= spec.target <= 65535:
                 raise ConfigError("horizontal scan target must be a port number")
         if spec.probe_times()[-1] > self.duration:
             raise ConfigError("scan does not fit inside duration")

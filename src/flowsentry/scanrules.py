@@ -8,7 +8,7 @@ import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .engine import Context, ContextSpec
@@ -115,7 +115,7 @@ def classify_direction(record: FlowRecord, nets: LocalNetworks) -> Direction:
     return OUTGOING if nets.contains(record.source_ip) else INCOMING
 
 
-def derive_keys(record: FlowRecord) -> tuple[ScanKey, ScanKey]:
+def derive_keys(record: FlowRecord | Probe) -> tuple[ScanKey, ScanKey]:
     """Both scan keys for a record; every incoming record belongs to exactly
     one vertical and one horizontal context."""
     source_ip = record.source_ip
@@ -125,9 +125,33 @@ def derive_keys(record: FlowRecord) -> tuple[ScanKey, ScanKey]:
     )
 
 
-def evidence_line(record: FlowRecord) -> str:
-    """One evidence line of a scan alert, built from the record when its
-    context fires."""
+# As in ingest: a named tuple from a ready tuple of its fields, without the
+# Python frame of the class's __new__.
+_new_tuple = tuple.__new__
+
+
+class Probe(NamedTuple):
+    """What the scan rule holds of a record: the fields its keys, triggers
+    and alerts read, under the record's own names."""
+
+    source_ip: str
+    source_port: int
+    dest_ip: str
+    dest_port: int
+    event_time: int
+
+
+_probe_fields = itemgetter(*map(FlowRecord._fields.index, Probe._fields))
+
+
+def probe(record: FlowRecord) -> Probe:
+    """The scan rule's held form of a record (ContextSpec.hold)."""
+    return _new_tuple(Probe, _probe_fields(record))
+
+
+def evidence_line(record: FlowRecord | Probe) -> str:
+    """One evidence line of a scan alert, built from a held message when
+    its context fires."""
     return (
         f"{record.source_ip}:{record.source_port} to "
         f"{record.dest_ip}:{record.dest_port} at {format_tod(record.event_time)}"
@@ -156,7 +180,7 @@ class TriggerPolicy:
         if self.min_messages < 2:
             raise ValueError("min_messages floor is 2")
 
-    def trigger(self) -> Callable[[ScanKey, Sequence[FlowRecord]], bool]:
+    def trigger(self) -> Callable[[ScanKey, Sequence[Probe]], bool]:
         """The policy as a ContextSpec trigger: a predicate on a context's
         key and messages, with the mode decided here, not at each expiry."""
         threshold = self.min_messages
@@ -172,25 +196,22 @@ def scan_spec(timeout_value: float, policy: TriggerPolicy) -> ContextSpec:
     """The scan rule's ContextSpec. Both keys of a record share its remote
     source, and the policy's threshold is also the fewest messages a scan
     context can fire on; so a source seen once is one engine entry, and its
-    one-message contexts expire with no trigger call."""
+    one-message contexts expire with no trigger call. A context holds each
+    record as its Probe."""
     return ContextSpec(
         timeout_value,
         trigger=policy.trigger(),
         on_fire=scan_alert,
         grouping=(_source_ip, derive_keys),
         min_messages=policy.min_messages,
+        hold=probe,
     )
 
 
-def count_distinct_targets(key: ScanKey, messages: Sequence[FlowRecord]) -> int:
+def count_distinct_targets(key: ScanKey, messages: Sequence[FlowRecord | Probe]) -> int:
     if key[0] is VERTICAL:
         return len({m.dest_port for m in messages})
     return len({m.dest_ip for m in messages})
-
-
-# As in ingest: a named tuple from a ready tuple of its fields, without the
-# Python frame of the class's __new__; called once per fired context.
-_new_tuple = tuple.__new__
 
 
 def scan_alert(ctx: Context) -> ScanAlert:

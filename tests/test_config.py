@@ -4,7 +4,9 @@ import dataclasses
 
 import pytest
 
-from flowsentry.config import ConfigError, EngineConfig, merge_overrides
+import yaml
+
+from flowsentry.config import ConfigError, EngineConfig, load_config, merge_overrides
 
 
 def test_networks_are_built_once_per_config():
@@ -27,3 +29,32 @@ def test_a_bad_local_net_is_a_config_error(net):
         EngineConfig(local_nets=(net,))
     with pytest.raises(ConfigError):
         merge_overrides(EngineConfig(), local_nets=(net,))
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        # YAML reads yes and true as True, which Python would take as 1.
+        ("timeout_value: yes", "timeout_value"),
+        ("timeout_value: '900'", "timeout_value"),
+        ("tick_interval: true", "tick_interval"),
+        ("min_messages: 2.5", "min_messages"),
+        ("min_messages: yes", "min_messages"),
+        ("min_messages: '2'", "min_messages"),
+    ],
+)
+def test_a_config_value_of_the_wrong_type_is_a_config_error_naming_it(tmp_path, text, field):
+    path = tmp_path / "config.yaml"
+    path.write_text(text + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        load_config(str(path))
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        merge_overrides(EngineConfig(), **yaml.safe_load(text))
+
+
+def test_numbers_of_either_kind_are_accepted(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_text("timeout_value: 60\ntick_interval: 0.5\nmin_messages: 3\n", encoding="utf-8")
+    config = load_config(str(path))
+    assert (config.timeout_value, config.tick_interval, config.min_messages) == (60, 0.5, 3)
+    assert config.policy().min_messages == 3

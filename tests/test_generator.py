@@ -259,3 +259,29 @@ def test_gen_config_from_dict_round_trip():
 def test_gen_config_from_dict_rejects_unknown_shapes(data):
     with pytest.raises(ConfigError):
         gen_config_from_dict(data)
+
+
+_SCAN = {"kind": "horizontal", "scanner_ip": "5.5.5.10", "target": 12346, "probes": 3, "inter_probe_gap": 30, "start_time": 60}
+
+
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        # YAML reads yes and true as True, which Python would take as 1.
+        ({"duration": True}, "duration"),
+        ({"duration": 100.5}, "duration"),
+        ({"duration": "100"}, "duration"),
+        ({"background_rate": True}, "background_rate"),
+        ({"background_rate": "1.0"}, "background_rate"),
+        ({"start_tod": 3600.5}, "start_tod"),
+        ({"scans": [dict(_SCAN, probes=True)]}, "probes"),
+        ({"scans": [dict(_SCAN, probes=2.5)]}, "probes"),
+        ({"scans": [dict(_SCAN, inter_probe_gap=30.5)]}, "inter_probe_gap"),
+        ({"scans": [dict(_SCAN, start_time="60")]}, "start_time"),
+        ({"scans": [dict(_SCAN, target=True)]}, "port number"),
+    ],
+)
+def test_gen_config_from_dict_rejects_values_of_the_wrong_type(changes, field):
+    data = dict({"duration": 300, "background_rate": 1.0}, **changes)
+    with pytest.raises(ConfigError, match=field):
+        gen_config_from_dict(data)

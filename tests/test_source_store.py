@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowsentry.engine import ContextSpec, CorrelationEngine, Rule, Ruleset
-from flowsentry.scanrules import HORIZONTAL, VERTICAL, TriggerPolicy, derive_keys, scan_spec
+from flowsentry.scanrules import HORIZONTAL, VERTICAL, TriggerPolicy, derive_keys, probe, scan_spec
 
 from conftest import make_record
 
@@ -125,7 +125,7 @@ def test_a_source_splits_one_half_at_a_time_and_keeps_its_place():
     def process(time, src, dst, dport):
         record = make_record(time=time, src=src, dst=dst, dport=dport)
         engine.process(record)
-        return record
+        return probe(record)
 
     a = process(0, "5.5.5.1", "10.0.0.1", 80)
     b = process(5, "6.6.6.6", "10.0.0.1", 80)
@@ -197,3 +197,84 @@ def test_a_grouping_of_three_keys_matches_the_generic_store(start, steps, timeou
         assert read.queue_lengths() == quiet.queue_lengths() == plain.queue_lengths()
         assert live(read) == live(plain)
     assert read.finish() == quiet.finish() == plain.finish()
+
+
+class CountingProbe:
+    """The scan rule's hold, recording each record it is called on."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, record):
+        self.calls.append(record)
+        return probe(record)
+
+
+def test_sources_seen_once_are_never_held():
+    hold = CountingProbe()
+    spec = replace(scan_spec(100.0, TriggerPolicy("min_messages", 2)), hold=hold)
+    engine = engine_for(spec)
+    for n in range(300):
+        engine.process(make_record(time=n, src=f"5.5.{n // 250}.{n % 250 + 1}", dst="10.0.0.1", dport=80))
+    report = engine.finish()
+    assert (report.contexts_created, report.contexts_expired, report.contexts_fired) == (600, 600, 0)
+    assert hold.calls == []
+
+
+def test_a_record_is_held_once_when_its_halves_split_at_different_times():
+    hold = CountingProbe()
+    spec = replace(scan_spec(100.0, TriggerPolicy("min_messages", 2)), hold=hold)
+    engine = engine_for(spec)
+    first = make_record(time=0, src="5.5.5.1", dst="10.0.0.1", dport=80)
+    engine.process(first)
+    assert hold.calls == []
+    # The vertical half splits off first, the horizontal half later.
+    engine.process(make_record(time=10, src="5.5.5.1", dst="10.0.0.1", dport=443))
+    engine.process(make_record(time=20, src="5.5.5.1", dst="10.0.0.2", dport=80))
+    # One call for each record, the first included: its second split reuses the held form.
+    assert len(hold.calls) == 3 and sum(record is first for record in hold.calls) == 1
+    vertical = engine.find_context((VERTICAL, "5.5.5.1", "10.0.0.1"))
+    horizontal = engine.find_context((HORIZONTAL, "5.5.5.1", "80"))
+    assert vertical.messages[0] is horizontal.messages[0]
+    assert vertical.messages[0] == probe(first)
+
+
+def test_the_generic_path_holds_each_record_once():
+    hold = CountingProbe()
+    spec = replace(scan_spec(100.0, TriggerPolicy("min_messages", 2)), grouping=None, min_messages=1, hold=hold)
+    engine = engine_for(spec)
+    records = [make_record(time=n, src="5.5.5.1", dst="10.0.0.1", dport=80 + n % 2) for n in range(4)]
+    for record in records:
+        engine.process(record)
+    assert hold.calls == records
+    vertical = engine.find_context((VERTICAL, "5.5.5.1", "10.0.0.1"))
+    horizontal = engine.find_context((HORIZONTAL, "5.5.5.1", "80"))
+    assert vertical.messages == list(map(probe, records))
+    assert horizontal.messages[0] is vertical.messages[0]
+
+
+def held(contexts):
+    return [(deadline, key, tuple(map(probe, messages))) for deadline, key, messages in contexts]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    start=st.integers(_DAY - 1200, _DAY + 600),
+    steps=steps,
+    timeout=st.sampled_from([60.0, 300.0]),
+    mode=st.sampled_from(["min_messages", "distinct_targets"]),
+    threshold=st.integers(2, 3),
+)
+def test_holding_probes_matches_holding_records(start, steps, timeout, mode, threshold):
+    probes = scan_spec(timeout, TriggerPolicy(mode, threshold))
+    records = replace(probes, hold=None)
+    # A third engine that is never read keeps its entries as add left them.
+    read, quiet, whole = engine_for(probes), engine_for(probes), engine_for(records)
+    engines = (read, quiet, whole)
+    for record in stream(start, steps):
+        for engine in engines:
+            engine.process(record)
+        assert read.report == quiet.report == whole.report
+        assert read.queue_lengths() == quiet.queue_lengths() == whole.queue_lengths()
+        assert live(read) == held(live(whole))
+    assert read.finish() == quiet.finish() == whole.finish()
