@@ -48,6 +48,10 @@ class EngineConfig:
         check_number(self.timeout_value, "timeout_value")
         check_number(self.tick_interval, "tick_interval")
         check_int(self.min_messages, "min_messages")
+        check_str(self.tz, "tz")
+        check_str(self.output_dir, "output_dir")
+        check_str(self.watchlist_path, "watchlist_path", optional=True)
+        check_str(self.date, "date", optional=True)
         # Written so that NaN fails too.
         if not self.timeout_value > 0:
             raise ConfigError("timeout_value must be positive")
@@ -100,6 +104,14 @@ def check_int(value: Any, what: str) -> None:
     """ConfigError unless value is an int that is not a bool."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{what} must be an integer, not {value!r}")
+
+
+def check_str(value: Any, what: str, *, optional: bool = False) -> None:
+    """ConfigError unless value is a str, or None when optional. YAML reads
+    0 as a number, which open() takes as a file descriptor, and 2004-11-05
+    as a date."""
+    if not (isinstance(value, str) or optional and value is None):
+        raise ConfigError(f"{what} must be a string, not {value!r}")
 
 
 def string_tuple(value: Any, what: str) -> tuple[str, ...]:

@@ -48,41 +48,34 @@ class ContextSpec:
     after every context due at that instant has been removed, and gets a
     Context of its own.
 
-    min_messages is the fewest messages on which the trigger can hold: a
-    context that holds fewer expires with no trigger call. The default, 1,
-    calls the trigger on every expiring context.
-
     grouping, when given, is (group, keys): keys(record) gives, as a
     sequence, the distinct keys that add receives for the record, and
     group(record) what they all share, so that records of different groups
-    never share a key. Such a spec needs min_messages of at least 2, and
-    the engine then keeps a group seen once as one source-first entry
-    rather than one context per key (see CorrelationEngine). A spec with a
-    grouping must not share a key and a timeout value with a spec without
-    one.
+    never share a key. The engine then keeps a group seen once as one
+    source-first entry rather than one context per key (see
+    CorrelationEngine), and a context that holds one message expires with
+    no trigger call. Such a spec must not share a key and a timeout value
+    with a spec without a grouping.
 
     hold, when given, maps a record to its held message, the form the
     store keeps in place of the record: only what trigger and on_fire
     read. The default, None, holds the record itself. trigger, on_fire,
     live_contexts() and find_context see only held messages, and group and
     keys must give the same answer for a record and for its held form. The
-    engine calls hold lazily: a record that stays alone in a new
-    source-first entry is held as given until its group comes back.
+    engine calls hold lazily: a source-first entry holds its record only
+    when a pending half splits off or is read.
     """
 
     timeout_value: float
     trigger: Callable[[Any, Sequence[Any]], bool]
     on_fire: Callable[["Context"], Any]
     grouping: tuple[Callable[[Any], Any], Callable[[Any], Sequence[Any]]] | None = None
-    min_messages: int = 1
     hold: Callable[[FlowRecord], Any] | None = None
 
     def __post_init__(self) -> None:
         # Written so that NaN fails too.
         if not self.timeout_value > 0:
             raise ValueError(f"timeout_value must be positive, not {self.timeout_value!r}")
-        if self.grouping is not None and self.min_messages < 2:
-            raise ValueError("a spec with a grouping needs min_messages of at least 2")
 
 
 class Context:
@@ -94,7 +87,7 @@ class Context:
 
     The deadline slides: each added message resets it to that message's
     engine time plus spec.timeout_value. Expiry evaluates spec.trigger
-    once, unless the context holds fewer than spec.min_messages messages;
+    once, unless spec has a grouping and the context holds one message;
     spec.on_fire runs only if it holds, and the context is gone either way.
 
     A context holds at least one message from the moment engine.add
@@ -205,28 +198,24 @@ class CorrelationEngine:
     grouping adds a second queue per timeout, also in deadline order, of
     source-first entries keyed by group. A record all of whose keys are
     new, from a group with no entry, becomes one entry (deadline, spec,
-    record, halves, keys) in place of its one-message contexts, its pending
+    record, halves) in place of its one-message contexts, its pending
     halves: bit i of halves stands for key i of spec's keys(record). No key
-    is both a pending half and in the queue, so the group's entry is read
-    only when one of a record's keys misses in the queue. keys is None
-    until then, and the entry holds the record as given: the first such
-    record rebuilds the keys from it, holds it once, and writes both back,
-    so a group that came back keeps its keys and its held message. A
-    pending half whose key the new record shares moves to the back of the
-    queue as a Context holding both held messages; the other halves keep
-    the entry and its place, and the new record's other new keys go to the
-    queue. An entry leaves at its deadline with no trigger call, since such
-    a spec's floor is at least 2, and counts one expired context per half
-    still pending. add calls spec.hold at most once, and only when the
-    record joins the queue or a group already pending.
+    is both a pending half and in the queue, so the entry is read only
+    when one of a record's keys misses in the queue, and its keys are then
+    rebuilt from its record. A pending half whose key the new record shares
+    moves to the back of the queue as a Context holding both held messages;
+    the other halves keep the entry and its place, and the new record's
+    other new keys go to the queue. An entry leaves at its deadline with no
+    trigger call and counts one expired context per half still pending.
+    add calls spec.hold on the new record at most once, and only when it
+    joins the queue or a group already pending.
 
     add(keys, spec, message) is the only store write and returns nothing,
     so a context that only ever holds one message is never built as a
     Context. find_context, live_contexts() and queue_lengths() are the
     reads; the first two build the contexts they return. They show each
-    pending half as a Context rebuilt on every call, so reading one leaves
-    the store as it was: an entry that still holds its record has its keys
-    rebuilt and its record held on every read. find_context may scan every
+    pending half as a Context rebuilt, and its record held, on every call,
+    so reading one leaves the store as it was. find_context may scan every
     pending entry of a timeout.
     """
 
@@ -240,9 +229,8 @@ class CorrelationEngine:
         # context that holds one message and that no caller has asked for yet.
         self._queues: defaultdict[float, OrderedDict[Any, Any]] = defaultdict(OrderedDict)
         # Source-first entries by timeout value, then by group, in deadline
-        # order: (deadline, spec, record, halves, None) until the group
-        # comes back, then (deadline, spec, held message, halves, keys).
-        self._sources: defaultdict[float, OrderedDict[Any, tuple[float, ContextSpec, Any, int, Any]]] = (
+        # order: (deadline, spec, record, halves).
+        self._sources: defaultdict[float, OrderedDict[Any, tuple[float, ContextSpec, Any, int]]] = (
             defaultdict(OrderedDict)
         )
         self._now = 0.0
@@ -256,12 +244,11 @@ class CorrelationEngine:
 
     def _pending(self, timeout: float) -> Iterator[Context]:
         """A new Context for each pending half under timeout, in deadline
-        order. An entry that still holds its record is held anew."""
-        for deadline, spec, message, halves, keys in self._sources.get(timeout, {}).values():
-            if keys is None:
-                keys = spec.grouping[1](message)
-                if spec.hold is not None:
-                    message = spec.hold(message)
+        order. Each call holds the entries' records anew."""
+        for deadline, spec, message, halves in self._sources.get(timeout, {}).values():
+            keys = spec.grouping[1](message)
+            if spec.hold is not None:
+                message = spec.hold(message)
             for i, key in enumerate(keys):
                 if halves >> i & 1:
                     yield _build(key, (deadline, spec, message))
@@ -334,7 +321,6 @@ class CorrelationEngine:
                 entry = queue.get(key)
                 if entry is None:
                     missed += 1
-                    new_key = key
                     continue
                 if hold is not None:
                     # Held once, on the first key that hits.
@@ -363,12 +349,9 @@ class CorrelationEngine:
                 created = self._split(queue, sources, group, pending, keys, spec, message, deadline)
             elif missed == len(keys):
                 # Every key is new: the group is seen once so far, and its
-                # record is held as given.
-                sources[group] = (deadline, spec, message, (1 << missed) - 1, None)
+                # record is kept as given.
+                sources[group] = (deadline, spec, message, (1 << missed) - 1)
                 created = missed
-            elif missed == 1:
-                queue[new_key] = (deadline, spec, message)
-                created = 1
             else:
                 fresh = (deadline, spec, message)
                 for key in keys:
@@ -385,7 +368,7 @@ class CorrelationEngine:
         queue: OrderedDict[Any, Any],
         sources: OrderedDict[Any, Any],
         group: Any,
-        pending: tuple[float, ContextSpec, Any, int, Any],
+        pending: tuple[float, ContextSpec, Any, int],
         keys: Sequence[Any],
         spec: ContextSpec,
         message: Any,
@@ -394,14 +377,12 @@ class CorrelationEngine:
         """add for the keys of a record that are not in queue when their
         group already has a source-first entry; message is the record's held
         form. A key equal to a pending half moves that half to the back of
-        the queue as a Context holding the entry's held message and then
-        this one; any other is created in the queue. At the group's first
-        split the entry's record is held, once. Returns the number created."""
-        _, held_spec, held, halves, held_keys = pending
-        if held_keys is None:
-            held_keys = held_spec.grouping[1](held)
-            if held_spec.hold is not None:
-                held = held_spec.hold(held)
+        the queue as a Context holding the entry's record, held now, and
+        then this message; any other is created in the queue. Returns the
+        number created."""
+        _, held_spec, record, halves = pending
+        held_keys = held_spec.grouping[1](record)
+        held = None
         fresh = (deadline, spec, message)
         created = 0
         for key in keys:
@@ -411,6 +392,8 @@ class CorrelationEngine:
                 bit = 1 << held_keys.index(key)
                 if halves & bit:
                     halves ^= bit
+                    if held is None:
+                        held = record if held_spec.hold is None else held_spec.hold(record)
                     ctx = queue[key] = Context(key, held_spec, deadline)
                     ctx.messages += (held, message)
                     continue
@@ -418,23 +401,21 @@ class CorrelationEngine:
             created += 1
         if not halves:
             del sources[group]
-        elif halves != pending[3] or pending[4] is None:
+        elif halves != pending[3]:
             # Assigning to a present key keeps its place in deadline order.
-            # The group came back, so its keys and held message are kept
-            # for the next time.
-            sources[group] = (pending[0], held_spec, held, halves, held_keys)
+            sources[group] = (pending[0], held_spec, record, halves)
         return created
 
     def expire_contexts(self, now: float) -> None:
         """Remove every context whose deadline is <= now, firing triggers.
 
         Each due context leaves its queue from the front, in deadline order,
-        and its trigger is evaluated as it leaves if it holds at least its
-        spec's min_messages; due source-first entries leave their own queue
-        the same way, with no trigger call. Only then, with every due
-        context removed, do the ones whose trigger held fire, in key order
-        whatever their deadlines, so runs are reproducible regardless of
-        store internals. Their alerts leave through emit.
+        and its trigger is evaluated as it leaves, unless its spec has a
+        grouping and it holds one message; due source-first entries leave
+        their own queue the same way, with no trigger call. Only then, with
+        every due context removed, do the ones whose trigger held fire, in
+        key order whatever their deadlines, so runs are reproducible
+        regardless of store internals. Their alerts leave through emit.
         """
         if now < self._next_due:
             return
@@ -458,11 +439,11 @@ class CorrelationEngine:
                 expired += 1
                 if lazy:
                     spec = entry[1]
-                    if spec.min_messages < 2 and spec.trigger(key, (entry[2],)):
+                    if spec.grouping is None and spec.trigger(key, (entry[2],)):
                         triggered.append(_build(key, entry))
                 else:
                     spec, messages = entry.spec, entry.messages
-                    if len(messages) >= spec.min_messages and spec.trigger(key, messages):
+                    if (len(messages) > 1 or spec.grouping is None) and spec.trigger(key, messages):
                         triggered.append(entry)
             sources = self._sources.get(timeout)
             if sources:

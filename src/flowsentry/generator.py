@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .config import DEFAULT_LOCAL_NETS, PRESET_NAMES, ConfigError, check_int, check_keys, check_number, string_tuple
+from .config import DEFAULT_LOCAL_NETS, PRESET_NAMES, ConfigError, check_int, check_keys, check_number, check_str, string_tuple
 from .ingest import FlowRecord, Protocol, format_line
 from .scanrules import LocalNetworks, ScanAlert, ScanKind
 
@@ -37,6 +37,7 @@ class ScanSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ScanKind(self.kind))
+        check_str(self.scanner_ip, "scanner_ip")
         for name in ("probes", "inter_probe_gap", "start_time"):
             check_int(getattr(self, name), name)
         if self.adjacency not in ("adjacent", "interleaved"):
@@ -64,6 +65,7 @@ class GenConfig:
         object.__setattr__(self, "local_nets", tuple(self.local_nets))
         check_int(self.duration, "duration")
         check_number(self.background_rate, "background_rate")
+        check_int(self.seed, "seed")
         check_int(self.start_tod, "start_tod")
         if self.duration < 1:
             raise ConfigError("duration must be at least 1 second")

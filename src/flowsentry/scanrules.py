@@ -194,16 +194,14 @@ _source_ip = attrgetter("source_ip")
 
 def scan_spec(timeout_value: float, policy: TriggerPolicy) -> ContextSpec:
     """The scan rule's ContextSpec. Both keys of a record share its remote
-    source, and the policy's threshold is also the fewest messages a scan
-    context can fire on; so a source seen once is one engine entry, and its
-    one-message contexts expire with no trigger call. A context holds each
-    record as its Probe."""
+    source, the grouping, so a source seen once is one engine entry; a
+    policy's threshold is at least 2, so no alert needs the trigger call
+    that one-message contexts skip. A context holds each record as a Probe."""
     return ContextSpec(
         timeout_value,
         trigger=policy.trigger(),
         on_fire=scan_alert,
         grouping=(_source_ip, derive_keys),
-        min_messages=policy.min_messages,
         hold=probe,
     )
 

@@ -41,6 +41,13 @@ def test_a_bad_local_net_is_a_config_error(net):
         ("min_messages: 2.5", "min_messages"),
         ("min_messages: yes", "min_messages"),
         ("min_messages: '2'", "min_messages"),
+        # open() takes a number as a file descriptor: 0 would read stdin.
+        ("watchlist_path: 0", "watchlist_path"),
+        ("watchlist_path: 5", "watchlist_path"),
+        # YAML reads an ISO date as a datetime.date.
+        ("date: 2004-11-05", "date"),
+        ("tz: 5", "tz"),
+        ("output_dir: 7", "output_dir"),
     ],
 )
 def test_a_config_value_of_the_wrong_type_is_a_config_error_naming_it(tmp_path, text, field):

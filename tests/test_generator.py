@@ -279,6 +279,9 @@ _SCAN = {"kind": "horizontal", "scanner_ip": "5.5.5.10", "target": 12346, "probe
         ({"scans": [dict(_SCAN, inter_probe_gap=30.5)]}, "inter_probe_gap"),
         ({"scans": [dict(_SCAN, start_time="60")]}, "start_time"),
         ({"scans": [dict(_SCAN, target=True)]}, "port number"),
+        ({"seed": True}, "seed"),
+        ({"seed": "7"}, "seed"),
+        ({"scans": [dict(_SCAN, scanner_ip=84215045)]}, "scanner_ip"),
     ],
 )
 def test_gen_config_from_dict_rejects_values_of_the_wrong_type(changes, field):

@@ -2,8 +2,8 @@
 
 A spec with a grouping keeps a remote source seen once as one engine entry
 and splits it into contexts only when the source comes back. The same
-spec without its grouping and floor takes the generic path, so any
-difference between the two runs is the source-first store's doing.
+spec without its grouping takes the generic path, so any difference
+between the two runs is the source-first store's doing.
 """
 
 from dataclasses import replace
@@ -73,7 +73,7 @@ def stream(start, steps):
 def test_the_source_first_store_matches_the_generic_store(start, steps, timeout, mode, threshold):
     # Streams start around midnight, so most cross it; the time of day wraps.
     grouped = scan_spec(timeout, TriggerPolicy(mode, threshold))
-    generic = replace(grouped, grouping=None, min_messages=1)
+    generic = replace(grouped, grouping=None)
     # live_contexts() builds every one-message queue entry into a Context,
     # so a third engine that is never read keeps the plain entries.
     read, quiet, plain = engine_for(grouped), engine_for(grouped), engine_for(generic)
@@ -161,10 +161,38 @@ def test_a_source_splits_one_half_at_a_time_and_keeps_its_place():
     ]
 
 
-def test_a_grouping_needs_a_floor_of_two():
-    spec = scan_spec(100.0, TriggerPolicy("min_messages", 2))
-    with pytest.raises(ValueError, match="min_messages of at least 2"):
-        replace(spec, min_messages=1)
+def test_a_grouping_never_fires_a_one_message_context():
+    # The trigger always holds, so only the grouping keeps these quiet.
+    spec = ContextSpec(
+        100.0,
+        trigger=lambda key, messages: True,
+        on_fire=lambda ctx: (ctx.key, len(ctx.messages)),
+        grouping=(attrgetter("source_ip"), derive_keys),
+    )
+    engine = engine_for(spec)
+
+    def process(time, src, dst, dport):
+        engine.process(make_record(time=time, src=src, dst=dst, dport=dport))
+
+    # Seen once: one source-first entry, two pending halves.
+    process(0, "4.4.4.4", "10.0.0.1", 80)
+    # Back on the same host: the vertical half splits off with two
+    # messages, the horizontal half stays pending, and the new port is a
+    # one-message entry in the queue.
+    process(1, "5.5.5.1", "10.0.0.1", 80)
+    process(2, "5.5.5.1", "10.0.0.1", 443)
+    # Back on another host and port: two new one-message entries.
+    process(3, "6.6.6.6", "10.0.0.1", 80)
+    process(4, "6.6.6.6", "10.0.0.2", 443)
+    # Reads build the one-message entries in the queue into Contexts.
+    assert len(engine.find_context((HORIZONTAL, "5.5.5.1", "443")).messages) == 1
+    assert [len(ctx.messages) for ctx in engine.live_contexts()].count(1) == 8
+    # These two stay plain entries: no read builds them.
+    process(5, "7.7.7.7", "10.0.0.1", 80)
+    process(6, "7.7.7.7", "10.0.0.3", 8080)
+    report = engine.finish()
+    assert report.alerts == [((VERTICAL, "5.5.5.1", "10.0.0.1"), 2)]
+    assert (report.contexts_created, report.contexts_expired, report.contexts_fired) == (13, 13, 1)
 
 
 def three_keys(record):
@@ -181,9 +209,8 @@ def test_a_grouping_of_three_keys_matches_the_generic_store(start, steps, timeou
         trigger=lambda key, messages: len(messages) >= 2,
         on_fire=lambda ctx: (ctx.key, tuple(ctx.messages)),
         grouping=(attrgetter("source_ip"), three_keys),
-        min_messages=2,
     )
-    generic = replace(grouped, grouping=None, min_messages=1)
+    generic = replace(grouped, grouping=None)
     engines = []
     for spec in (grouped, grouped, generic):
         def action(engine, record, spec=spec):
@@ -221,27 +248,45 @@ def test_sources_seen_once_are_never_held():
     assert hold.calls == []
 
 
-def test_a_record_is_held_once_when_its_halves_split_at_different_times():
+def test_a_source_first_record_is_held_as_each_of_its_halves_splits_off():
     hold = CountingProbe()
     spec = replace(scan_spec(100.0, TriggerPolicy("min_messages", 2)), hold=hold)
     engine = engine_for(spec)
     first = make_record(time=0, src="5.5.5.1", dst="10.0.0.1", dport=80)
     engine.process(first)
     assert hold.calls == []
-    # The vertical half splits off first, the horizontal half later.
-    engine.process(make_record(time=10, src="5.5.5.1", dst="10.0.0.1", dport=443))
-    engine.process(make_record(time=20, src="5.5.5.1", dst="10.0.0.2", dport=80))
-    # One call for each record, the first included: its second split reuses the held form.
-    assert len(hold.calls) == 3 and sum(record is first for record in hold.calls) == 1
+    # Back on another host and port: no half splits off, so only the new
+    # record is held.
+    elsewhere = make_record(time=5, src="5.5.5.1", dst="10.0.0.9", dport=8080)
+    engine.process(elsewhere)
+    assert hold.calls == [elsewhere]
+    # The vertical half splits off first, the horizontal half later, and
+    # the first record is held at each split.
+    same_host = make_record(time=10, src="5.5.5.1", dst="10.0.0.1", dport=443)
+    engine.process(same_host)
+    assert hold.calls == [elsewhere, same_host, first]
+    same_port = make_record(time=20, src="5.5.5.1", dst="10.0.0.2", dport=80)
+    engine.process(same_port)
+    assert hold.calls == [elsewhere, same_host, first, same_port, first]
     vertical = engine.find_context((VERTICAL, "5.5.5.1", "10.0.0.1"))
     horizontal = engine.find_context((HORIZONTAL, "5.5.5.1", "80"))
+    assert vertical.messages == [probe(first), probe(same_host)]
+    assert horizontal.messages == [probe(first), probe(same_port)]
+    # Both halves split off at once: one call, and they share the held form.
+    alone = make_record(time=30, src="6.6.6.6", dst="10.0.0.1", dport=80)
+    again = make_record(time=31, src="6.6.6.6", dst="10.0.0.1", dport=80)
+    engine.process(alone)
+    engine.process(again)
+    assert hold.calls[5:] == [again, alone]
+    vertical = engine.find_context((VERTICAL, "6.6.6.6", "10.0.0.1"))
+    horizontal = engine.find_context((HORIZONTAL, "6.6.6.6", "80"))
     assert vertical.messages[0] is horizontal.messages[0]
-    assert vertical.messages[0] == probe(first)
+    assert vertical.messages == [probe(alone), probe(again)]
 
 
 def test_the_generic_path_holds_each_record_once():
     hold = CountingProbe()
-    spec = replace(scan_spec(100.0, TriggerPolicy("min_messages", 2)), grouping=None, min_messages=1, hold=hold)
+    spec = replace(scan_spec(100.0, TriggerPolicy("min_messages", 2)), grouping=None, hold=hold)
     engine = engine_for(spec)
     records = [make_record(time=n, src="5.5.5.1", dst="10.0.0.1", dport=80 + n % 2) for n in range(4)]
     for record in records:
