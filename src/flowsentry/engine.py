@@ -91,10 +91,7 @@ class Context:
     spec.on_fire runs only if it holds, and the context is gone either way.
 
     A context holds at least one message from the moment engine.add
-    creates it. The engine keeps one that holds a single message as a plain
-    (deadline, spec, held message) entry and builds the Context when a
-    second message arrives or when find_context or live_contexts asks for
-    it; from then on the same object stays in the store until it expires.
+    creates it, and the same object stays in the store until it expires.
 
     A one-message context of a spec with a grouping may instead be a
     pending half of its group's source-first entry. It becomes a Context,
@@ -110,22 +107,6 @@ class Context:
         self.spec = spec
         self.deadline = deadline
         self.messages: list[Any] = []
-
-
-def _build(key: Any, entry: tuple[float, ContextSpec, Any]) -> Context:
-    deadline, spec, message = entry
-    ctx = Context(key, spec, deadline)
-    ctx.messages.append(message)
-    return ctx
-
-
-def _context_at(queue: OrderedDict[Any, Any], key: Any) -> Context:
-    """The Context for a key in queue, built in place of a one-message
-    entry, so the key keeps its place in the queue."""
-    entry = queue[key]
-    if entry.__class__ is tuple:
-        queue[key] = entry = _build(key, entry)
-    return entry
 
 
 _context_key = attrgetter("key")
@@ -207,16 +188,15 @@ class CorrelationEngine:
     the other halves keep the entry and its place, and the new record's
     other new keys go to the queue. An entry leaves at its deadline with no
     trigger call and counts one expired context per half still pending.
-    add calls spec.hold on the new record at most once, and only when it
-    joins the queue or a group already pending.
 
-    add(keys, spec, message) is the only store write and returns nothing,
-    so a context that only ever holds one message is never built as a
-    Context. find_context, live_contexts() and queue_lengths() are the
-    reads; the first two build the contexts they return. They show each
-    pending half as a Context rebuilt, and its record held, on every call,
-    so reading one leaves the store as it was. find_context may scan every
-    pending entry of a timeout.
+    add(keys, spec, message) is the only store write and returns nothing.
+    It calls spec.hold on the record at most once, and only when the record
+    joins the queue or a group already pending. find_context,
+    live_contexts() and queue_lengths() are the reads, and never change the
+    store. The first two return a queued context as the object the queue
+    holds, and show each pending half as a Context rebuilt, and its record
+    held, on every call. find_context may scan every pending entry of a
+    timeout.
     """
 
     def __init__(self, ruleset: Ruleset, *, clock: Any = None, sinks: Any = None):
@@ -224,10 +204,9 @@ class CorrelationEngine:
         self.clock = clock if clock is not None else BatchClock()
         self.sinks = sinks
         self.report = EngineReport()
-        # The context store: one touch-ordered queue per timeout value. An
-        # entry is a Context, or (deadline, spec, held message) for a
-        # context that holds one message and that no caller has asked for yet.
-        self._queues: defaultdict[float, OrderedDict[Any, Any]] = defaultdict(OrderedDict)
+        # The context store: one touch-ordered queue of Contexts by key per
+        # timeout value.
+        self._queues: defaultdict[float, OrderedDict[Any, Context]] = defaultdict(OrderedDict)
         # Source-first entries by timeout value, then by group, in deadline
         # order: (deadline, spec, record, halves).
         self._sources: defaultdict[float, OrderedDict[Any, tuple[float, ContextSpec, Any, int]]] = (
@@ -251,15 +230,16 @@ class CorrelationEngine:
                 message = spec.hold(message)
             for i, key in enumerate(keys):
                 if halves >> i & 1:
-                    yield _build(key, (deadline, spec, message))
+                    ctx = Context(key, spec, deadline)
+                    ctx.messages.append(message)
+                    yield ctx
 
     def live_contexts(self) -> list[Context]:
         """Every live context, timeout by timeout, each in deadline order.
         Pending halves are rebuilt on each call and merged in."""
         live: list[Context] = []
         for timeout, queue in self._queues.items():
-            queued = [_context_at(queue, key) for key in queue]
-            live += heapq.merge(queued, self._pending(timeout), key=_deadline)
+            live += heapq.merge(queue.values(), self._pending(timeout), key=_deadline)
         return live
 
     def queue_lengths(self) -> dict[float, int]:
@@ -274,8 +254,9 @@ class CorrelationEngine:
         one. A pending half is found by scanning that timeout's pending
         entries, and is rebuilt on each call."""
         for timeout, queue in self._queues.items():
-            if key in queue:
-                return _context_at(queue, key)
+            ctx = queue.get(key)
+            if ctx is not None:
+                return ctx
             for ctx in self._pending(timeout):
                 if ctx.key == key:
                     return ctx
@@ -297,67 +278,44 @@ class CorrelationEngine:
         deadline = self._now + timeout
         grouping = spec.grouping
         hold = spec.hold
-        if grouping is None:
-            if hold is not None:
-                message = hold(message)
-            # One entry for every key created here; _context_at replaces only its own key's.
-            fresh = (deadline, spec, message)
-            created = 0
-            for key in keys:
-                entry = queue.get(key)
-                if entry is None:
-                    queue[key] = fresh
-                    created += 1
-                    continue
-                if entry.__class__ is tuple:
-                    entry = _context_at(queue, key)
-                if deadline != entry.deadline:
-                    entry.deadline = deadline
-                    queue.move_to_end(key)
-                entry.messages.append(message)
-        else:
-            missed = 0
-            for key in keys:
-                entry = queue.get(key)
-                if entry is None:
+        created = missed = 0
+        for key in keys:
+            ctx = queue.get(key)
+            if ctx is None:
+                if grouping is not None:
                     missed += 1
                     continue
-                if hold is not None:
-                    # Held once, on the first key that hits.
-                    message = hold(message)
-                    hold = None
-                if entry.__class__ is tuple:
-                    # _context_at and a slide in one step.
-                    ctx = queue[key] = Context(key, entry[1], deadline)
-                    ctx.messages += (entry[2], message)
-                    if deadline != entry[0]:
-                        queue.move_to_end(key)
-                    continue
-                if deadline != entry.deadline:
-                    entry.deadline = deadline
-                    queue.move_to_end(key)
-                entry.messages.append(message)
-            if not missed:
-                return
+                ctx = queue[key] = Context(key, spec, deadline)
+                created += 1
+            if hold is not None:
+                # Held once, on the first key that hits or is created.
+                message = hold(message)
+                hold = None
+            if deadline != ctx.deadline:
+                ctx.deadline = deadline
+                queue.move_to_end(key)
+            ctx.messages.append(message)
+        if missed:
             # The keys that missed are the ones still not in the queue.
             sources = self._sources[timeout]
             group = grouping[0](message)
             pending = sources.get(group)
-            if pending is not None:
-                if hold is not None:
-                    message = hold(message)
-                created = self._split(queue, sources, group, pending, keys, spec, message, deadline)
-            elif missed == len(keys):
+            if pending is None and missed == len(keys):
                 # Every key is new: the group is seen once so far, and its
                 # record is kept as given.
                 sources[group] = (deadline, spec, message, (1 << missed) - 1)
                 created = missed
             else:
-                fresh = (deadline, spec, message)
-                for key in keys:
-                    if key not in queue:
-                        queue[key] = fresh
-                created = missed
+                if hold is not None:
+                    message = hold(message)
+                if pending is not None:
+                    created = self._split(queue, sources, group, pending, keys, spec, message, deadline)
+                else:
+                    for key in keys:
+                        if key not in queue:
+                            ctx = queue[key] = Context(key, spec, deadline)
+                            ctx.messages.append(message)
+                    created = missed
         if created:
             self.report.contexts_created += created
             if deadline < self._next_due:
@@ -365,7 +323,7 @@ class CorrelationEngine:
 
     def _split(
         self,
-        queue: OrderedDict[Any, Any],
+        queue: OrderedDict[Any, Context],
         sources: OrderedDict[Any, Any],
         group: Any,
         pending: tuple[float, ContextSpec, Any, int],
@@ -383,22 +341,21 @@ class CorrelationEngine:
         _, held_spec, record, halves = pending
         held_keys = held_spec.grouping[1](record)
         held = None
-        fresh = (deadline, spec, message)
         created = 0
         for key in keys:
             if key in queue:
                 continue
-            if key in held_keys:
-                bit = 1 << held_keys.index(key)
-                if halves & bit:
-                    halves ^= bit
-                    if held is None:
-                        held = record if held_spec.hold is None else held_spec.hold(record)
-                    ctx = queue[key] = Context(key, held_spec, deadline)
-                    ctx.messages += (held, message)
-                    continue
-            queue[key] = fresh
-            created += 1
+            bit = 1 << held_keys.index(key) if key in held_keys else 0
+            if halves & bit:
+                halves ^= bit
+                if held is None:
+                    held = record if held_spec.hold is None else held_spec.hold(record)
+                ctx = queue[key] = Context(key, held_spec, deadline)
+                ctx.messages.append(held)
+            else:
+                ctx = queue[key] = Context(key, spec, deadline)
+                created += 1
+            ctx.messages.append(message)
         if not halves:
             del sources[group]
         elif halves != pending[3]:
@@ -426,25 +383,19 @@ class CorrelationEngine:
             popitem = queue.popitem
             expired = 0
             while queue:
-                key, entry = popitem(last=False)
-                lazy = entry.__class__ is tuple
-                deadline = entry[0] if lazy else entry.deadline
+                key, ctx = popitem(last=False)
+                deadline = ctx.deadline
                 if deadline > now:
                     # Not due: back to the front, where it came from.
-                    queue[key] = entry
+                    queue[key] = ctx
                     queue.move_to_end(key, last=False)
                     if deadline < next_due:
                         next_due = deadline
                     break
                 expired += 1
-                if lazy:
-                    spec = entry[1]
-                    if spec.grouping is None and spec.trigger(key, (entry[2],)):
-                        triggered.append(_build(key, entry))
-                else:
-                    spec, messages = entry.spec, entry.messages
-                    if (len(messages) > 1 or spec.grouping is None) and spec.trigger(key, messages):
-                        triggered.append(entry)
+                spec, messages = ctx.spec, ctx.messages
+                if (len(messages) > 1 or spec.grouping is None) and spec.trigger(key, messages):
+                    triggered.append(ctx)
             sources = self._sources.get(timeout)
             if sources:
                 popitem = sources.popitem

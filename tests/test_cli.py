@@ -371,6 +371,14 @@ def test_bad_config_file_exits_1(tmp_path, capsys):
     assert run_command(["analyze", str(log), "--config", str(config)]) == 1
 
 
+def test_a_date_that_is_no_day_of_the_calendar_exits_1(tmp_path, capsys):
+    log = write_corpus(tmp_path)
+    out = tmp_path / "out"
+    assert run_command(["analyze", str(log), "--out-dir", str(out), "--date", "2026/13/45", "--no-console"]) == 1
+    assert capsys.readouterr().err == "error: date must be a day of the calendar, not '2026/13/45'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "local_nets", [5, "10.0.0.0/8", [5], {"a": "10.0.0.0/8"}], ids=["int", "string", "int-list", "mapping"]
 )

@@ -1,6 +1,7 @@
 """Engine configuration: validation and the values derived from it."""
 
 import dataclasses
+import time
 
 import pytest
 
@@ -48,6 +49,10 @@ def test_a_bad_local_net_is_a_config_error(net):
         ("date: 2004-11-05", "date"),
         ("tz: 5", "tz"),
         ("output_dir: 7", "output_dir"),
+        # The right shape, but no such day.
+        ("date: 2026/13/45", "date"),
+        ("date: 2026/02/29", "date"),
+        ("date: 0000/01/01", "date"),
     ],
 )
 def test_a_config_value_of_the_wrong_type_is_a_config_error_naming_it(tmp_path, text, field):
@@ -65,3 +70,25 @@ def test_numbers_of_either_kind_are_accepted(tmp_path):
     config = load_config(str(path))
     assert (config.timeout_value, config.tick_interval, config.min_messages) == (60, 0.5, 3)
     assert config.policy().min_messages == 3
+
+
+def accepted(date):
+    try:
+        EngineConfig(date=date)
+    except ConfigError:
+        return False
+    return True
+
+
+def test_a_date_is_accepted_exactly_when_strptime_reads_it():
+    assert accepted("2024/02/29")
+    for year in ("0000", "0001", "1900", "2000", "2023", "2024", "9999"):
+        for month in range(14):
+            for day in range(33):
+                date = f"{year}/{month:02d}/{day:02d}"
+                try:
+                    time.strptime(date, "%Y/%m/%d")
+                except ValueError:
+                    assert not accepted(date), date
+                else:
+                    assert accepted(date), date

@@ -25,7 +25,18 @@ from flowsentry.generator import GenConfig, ScanSpec, generate
 from flowsentry.ingest import Protocol, ingest
 from flowsentry.pipeline import build_scan_ruleset
 from flowsentry.reporting import SinkSet
-from flowsentry.scanrules import ScanAlert, ScanKind, VulnAlert, Watchlist, WatchlistEntry
+from flowsentry.scanrules import (
+    INCOMING,
+    ScanAlert,
+    ScanKind,
+    TriggerPolicy,
+    VulnAlert,
+    Watchlist,
+    WatchlistEntry,
+    classify_direction,
+    derive_keys,
+    scan_spec,
+)
 
 from conftest import make_line, make_record, slow_probe_records, tod
 
@@ -351,12 +362,10 @@ def test_one_add_stores_one_entry_under_every_key_it_creates():
     engine = CorrelationEngine(Ruleset([]))
     first, second = make_record(dport=1), make_record(dport=2)
     engine.add(("a", "b"), spec, first)
-    queue = engine._queues[10.0]
-    assert queue["a"] is queue["b"]
-    # A second message builds a's Context in place; b keeps the shared entry.
+    assert engine.queue_lengths() == {10.0: 2}
+    # A second message slides a alone.
     engine.advance(5.0)
     engine.add(("a",), spec, second)
-    assert queue["b"] == (10.0, spec, first)
     # b expires on its own; a keeps both messages and its later deadline.
     assert fired_by_advance(engine, 10.0) == [("b", 10.0, 1)]
     ctx = engine.find_context("a")
@@ -364,7 +373,8 @@ def test_one_add_stores_one_entry_under_every_key_it_creates():
     assert fired_by_advance(engine, 15.0) == [("a", 10.0, 2)]
 
 
-def test_a_scan_run_builds_a_context_only_for_what_fires(tmp_path, monkeypatch):
+def count_contexts_built(monkeypatch):
+    """A list that grows by one for each Context built from now on."""
     built = []
     real_init = Context.__init__
 
@@ -372,16 +382,48 @@ def test_a_scan_run_builds_a_context_only_for_what_fires(tmp_path, monkeypatch):
         built.append(None)
         real_init(self, *args, **kwargs)
 
+    monkeypatch.setattr(Context, "__init__", counting_init)
+    return built
+
+
+def test_a_scan_run_builds_no_context_for_a_source_seen_once(tmp_path, monkeypatch):
     records, _ = ingest(mixed_corpus(tmp_path), "batch")
+    records = list(records)
     config = EngineConfig(trigger_policy="min_messages", min_messages=2, date="2004/11/05")
     ruleset = build_scan_ruleset(config, Watchlist())
-    monkeypatch.setattr(Context, "__init__", counting_init)
+    incoming = Counter(r.source_ip for r in records if classify_direction(r, config.networks()) is INCOMING)
+    returning = sum(n for n in incoming.values() if n > 1)
+    built = count_contexts_built(monkeypatch)
     report = run_engine(records, ruleset)
-    # Fresh remote sources leave one-message contexts; under min_messages 2
-    # only those that fire ever get a second message.
+    # Each incoming record has two keys, and only a record of a source seen
+    # more than once can put one of them in a Context.
     assert report.contexts_fired >= 2
     assert report.contexts_created > 100 * report.contexts_fired
-    assert len(built) <= report.contexts_fired + 1
+    assert sum(n == 1 for n in incoming.values()) > 100 * returning
+    assert report.contexts_fired <= len(built) <= 2 * returning
+
+
+def test_reading_a_queued_context_builds_nothing_and_returns_the_stored_object(monkeypatch):
+    generic = ContextSpec(10.0, trigger=lambda key, messages: True, on_fire=fires_key)
+    grouped = scan_spec(10.0, TriggerPolicy("min_messages", 2))
+    engine = CorrelationEngine(Ruleset([]))
+    first, second = make_record(dport=1), make_record(dport=2)
+    engine.add(("a", "b"), generic, first)
+    engine.add(("a",), generic, second)
+    # A returning scanner: its second probe splits off both halves of its
+    # source-first entry, and each later probe slides one context and
+    # creates one with a single message.
+    for dst, dport in (("10.0.0.1", 80), ("10.0.0.1", 80), ("10.0.0.1", 443), ("10.0.0.2", 80)):
+        record = make_record(src="5.5.5.1", dst=dst, dport=dport)
+        engine.add(derive_keys(record), grouped, record)
+    built = count_contexts_built(monkeypatch)
+    live = engine.live_contexts()
+    assert [len(ctx.messages) for ctx in live] == [2, 1, 3, 3, 1, 1]
+    assert sum(engine.queue_lengths().values()) == len(live)
+    for _ in range(2):
+        assert all(a is b for a, b in zip(engine.live_contexts(), live, strict=True))
+        assert all(engine.find_context(ctx.key) is ctx for ctx in live)
+    assert built == []
 
 
 @pytest.mark.parametrize("timeout", [float("nan"), 0.0, -5.0])

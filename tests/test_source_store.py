@@ -74,8 +74,8 @@ def test_the_source_first_store_matches_the_generic_store(start, steps, timeout,
     # Streams start around midnight, so most cross it; the time of day wraps.
     grouped = scan_spec(timeout, TriggerPolicy(mode, threshold))
     generic = replace(grouped, grouping=None)
-    # live_contexts() builds every one-message queue entry into a Context,
-    # so a third engine that is never read keeps the plain entries.
+    # live_contexts() rebuilds every pending half on each call; a second
+    # engine with the grouping is never read, to show that reads change nothing.
     read, quiet, plain = engine_for(grouped), engine_for(grouped), engine_for(generic)
     engines = (read, quiet, plain)
     for record in stream(start, steps):
@@ -178,16 +178,17 @@ def test_a_grouping_never_fires_a_one_message_context():
     process(0, "4.4.4.4", "10.0.0.1", 80)
     # Back on the same host: the vertical half splits off with two
     # messages, the horizontal half stays pending, and the new port is a
-    # one-message entry in the queue.
+    # one-message Context in the queue.
     process(1, "5.5.5.1", "10.0.0.1", 80)
     process(2, "5.5.5.1", "10.0.0.1", 443)
-    # Back on another host and port: two new one-message entries.
+    # Back on another host and port: two new one-message Contexts.
     process(3, "6.6.6.6", "10.0.0.1", 80)
     process(4, "6.6.6.6", "10.0.0.2", 443)
-    # Reads build the one-message entries in the queue into Contexts.
+    # Reads see the one-message Contexts in the queue and the pending halves.
     assert len(engine.find_context((HORIZONTAL, "5.5.5.1", "443")).messages) == 1
     assert [len(ctx.messages) for ctx in engine.live_contexts()].count(1) == 8
-    # These two stay plain entries: no read builds them.
+    # Back with no key in common: two more one-message Contexts, and the
+    # first record's halves stay pending; none of these is read.
     process(5, "7.7.7.7", "10.0.0.1", 80)
     process(6, "7.7.7.7", "10.0.0.3", 8080)
     report = engine.finish()
