@@ -269,10 +269,12 @@ class CorrelationEngine:
         if sinks is None or not sinks.emit(alert):
             report.alerts.append(alert)
 
-    def add(self, keys: Iterable[Any], spec: ContextSpec, message: FlowRecord) -> None:
+    def add(self, keys: Sequence[Any], spec: ContextSpec, message: FlowRecord) -> None:
         """For each key, add message, held as spec.hold says, to its live
         context under spec's timeout value and slide its deadline, or
-        create the context."""
+        create the context. keys is a sequence, such as a list or a tuple,
+        as a grouping's keys(record) gives it: add may take its length and
+        read it more than once."""
         timeout = spec.timeout_value
         queue = self._queues[timeout]
         deadline = self._now + timeout

@@ -132,7 +132,9 @@ _new_tuple = tuple.__new__
 
 class Probe(NamedTuple):
     """What the scan rule holds of a record: the fields its keys, triggers
-    and alerts read, under the record's own names."""
+    and alerts read, under the record's own names. A probe built by probe()
+    shares its source_ip, dest_ip and dest_port objects with every other
+    held probe of equal value, as long as the held-value table keeps them."""
 
     source_ip: str
     source_port: int
@@ -143,10 +145,40 @@ class Probe(NamedTuple):
 
 _probe_fields = itemgetter(*map(FlowRecord._fields.index, Probe._fields))
 
+# Values already held, each mapped to itself: the first probe to hold an
+# address or a destination port puts its object here, and later probes
+# with an equal value take that object. A text address never equals an int
+# port, so one table serves both. It is cleared before a probe could take
+# it past _HELD_VALUES_CAP entries; probes already built keep their objects.
+_HELD_VALUES_CAP = 1 << 14
+_held_values: dict[str | int, str | int] = {}
+
 
 def probe(record: FlowRecord) -> Probe:
-    """The scan rule's held form of a record (ContextSpec.hold)."""
-    return _new_tuple(Probe, _probe_fields(record))
+    """The scan rule's held form of a record (ContextSpec.hold).
+
+    A store over real traffic holds many probes from one client, to one
+    server or to one port, and each parsed record has its own copies of
+    those values. So source_ip, dest_ip and dest_port come from
+    _held_values, and equal values held at once are one object.
+
+    The table is capped because a long follow meets new addresses without
+    end. sys.intern would share the strings too, but on CPython 3.12 and
+    later interned strings are immortal: every address ever held would
+    stay in memory after its contexts expired.
+
+    The engine holds a record only when it joins the queue or a pending
+    source (see CorrelationEngine.add), so fresh sources rarely reach the
+    table. Reads that rebuild pending halves (the engine's _pending) call
+    this too: they may add to the table, never to the store.
+    """
+    source_ip, source_port, dest_ip, dest_port, event_time = _probe_fields(record)
+    held = _held_values
+    if len(held) > _HELD_VALUES_CAP - 3:
+        held.clear()
+    share = held.setdefault
+    fields = (share(source_ip, source_ip), source_port, share(dest_ip, dest_ip), share(dest_port, dest_port), event_time)
+    return _new_tuple(Probe, fields)
 
 
 def evidence_line(record: FlowRecord | Probe) -> str:

@@ -6,10 +6,12 @@ import logging
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from flowsentry import scanrules
 from flowsentry.engine import Context, ContextSpec
 from flowsentry.scanrules import (
     Direction,
     LocalNetworks,
+    Probe,
     ScanKind,
     TriggerPolicy,
     Watchlist,
@@ -19,6 +21,7 @@ from flowsentry.scanrules import (
     count_distinct_targets,
     derive_keys,
     load_watchlist,
+    probe,
     scan_alert,
 )
 
@@ -81,6 +84,42 @@ def test_context_keys_are_hashable_and_ordered():
         ("horizontal", "5.5.5.10", "9"),
         ("vertical", "5.5.5.10", "10.0.0.7"),
     ]
+
+
+def unshared(record):
+    """The probe of record built without the held-value table."""
+    return Probe(record.source_ip, record.source_port, record.dest_ip, record.dest_port, record.event_time)
+
+
+def test_probes_share_equal_addresses_and_destination_ports():
+    # Equal values built at run time are distinct objects, as the parser
+    # gives them for two lines.
+    first, second = (
+        make_record(time=t, src="5.5.5." + str(10), sport=sport, dst="10.0.0." + str(7), dport=int("12346"))
+        for t, sport in ((0, 3434), (1, 3435))
+    )
+    assert first.source_ip is not second.source_ip and first.dest_ip is not second.dest_ip
+    assert first.dest_port is not second.dest_port
+    a, b = probe(first), probe(second)
+    assert a.source_ip is b.source_ip and a.dest_ip is b.dest_ip and a.dest_port is b.dest_port
+    assert a == unshared(first) and b == unshared(second)
+    assert type(a) is Probe and a.dest_port == 12346
+
+
+def test_the_held_value_table_never_grows_past_its_cap():
+    cap = scanrules._HELD_VALUES_CAP
+    table = scanrules._held_values
+    sizes = []
+    # Every record brings three new values, so the table fills and is
+    # cleared more than once.
+    for n in range(cap):
+        low = f"{n >> 8}.{n & 255}"
+        record = make_record(src="5.5." + low, dst="10.0." + low, dport=1024 + n)
+        held = probe(record)
+        sizes.append(len(table))
+        assert held == unshared(record)
+    assert max(sizes) <= cap
+    assert sum(after < before for before, after in zip(sizes, sizes[1:])) >= 2
 
 
 def test_trigger_policy_validation():

@@ -227,6 +227,26 @@ def test_a_grouping_of_three_keys_matches_the_generic_store(start, steps, timeou
     assert read.finish() == quiet.finish() == plain.finish()
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(start=st.integers(0, 600), steps=steps, grouped=st.booleans())
+def test_a_list_and_a_tuple_of_the_same_keys_leave_the_same_store(start, steps, grouped):
+    spec = scan_spec(300.0, TriggerPolicy("min_messages", 2))
+    if not grouped:
+        spec = replace(spec, grouping=None)
+
+    def action(engine, record):
+        engine.add(list(derive_keys(record)), spec, record)
+
+    as_tuple = engine_for(spec)
+    as_list = CorrelationEngine(Ruleset([Rule("scan", lambda record: True, [action])]))
+    for record in stream(start, steps):
+        as_tuple.process(record)
+        as_list.process(record)
+        assert live(as_list) == live(as_tuple)
+        assert as_list.queue_lengths() == as_tuple.queue_lengths()
+    assert as_list.finish() == as_tuple.finish()
+
+
 class CountingProbe:
     """The scan rule's hold, recording each record it is called on."""
 
