@@ -150,13 +150,15 @@ def config_from_dict(data: dict[str, Any]) -> EngineConfig:
 
 def read_yaml(path: str) -> Any:
     """The document in a YAML file, None when it is empty. Bad YAML is a
-    ConfigError; a file that cannot be read raises OSError."""
+    ConfigError, and so is an integer longer than int() converts, which
+    PyYAML lets through as a ValueError; a file that cannot be read raises
+    OSError."""
     import yaml  # imported here so runs that read no YAML file skip it
 
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return yaml.safe_load(handle)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
 

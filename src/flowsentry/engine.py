@@ -52,18 +52,18 @@ class ContextSpec:
     sequence, the distinct keys that add receives for the record, and
     group(record) what they all share, so that records of different groups
     never share a key. The engine then keeps a group seen once as one
-    source-first entry rather than one context per key (see
-    CorrelationEngine), and a context that holds one message expires with
-    no trigger call. Such a spec must not share a key and a timeout value
-    with a spec without a grouping.
+    source-first entry whose keys are pending halves rather than contexts
+    (see CorrelationEngine), and a context that holds one message expires
+    with no trigger call. Such a spec must not share a key and a timeout
+    value with a spec without a grouping.
 
     hold, when given, maps a record to its held message, the form the
     store keeps in place of the record: only what trigger and on_fire
     read. The default, None, holds the record itself. trigger, on_fire,
     live_contexts() and find_context see only held messages, and group and
     keys must give the same answer for a record and for its held form. The
-    engine calls hold lazily: a source-first entry holds its record only
-    when a pending half splits off or is read.
+    engine calls hold lazily: a source-first entry keeps its record as
+    given, and holds it only when a pending half joins the queue or is read.
     """
 
     timeout_value: float
@@ -92,21 +92,23 @@ class Context:
 
     A context holds at least one message from the moment engine.add
     creates it, and the same object stays in the store until it expires.
+    The messages argument, when given, is that list.
 
     A one-message context of a spec with a grouping may instead be a
-    pending half of its group's source-first entry. It becomes a Context,
-    kept from then on, only when a later message shares its key; the
-    Context that find_context or live_contexts returns for a pending half
-    is built anew on each call and leaves the store as it was.
+    pending half of its group's source-first entry: a key of the entry's
+    record that is not in the queue. It joins the queue as a Context, kept
+    from then on, only when a later message shares its key; the Context
+    that find_context or live_contexts returns for a pending half is built
+    anew on each call and leaves the store as it was.
     """
 
     __slots__ = ("key", "spec", "deadline", "messages")
 
-    def __init__(self, key: Any, spec: ContextSpec, deadline: float = 0.0):
+    def __init__(self, key: Any, spec: ContextSpec, deadline: float = 0.0, messages: list[Any] | None = None):
         self.key = key
         self.spec = spec
         self.deadline = deadline
-        self.messages: list[Any] = []
+        self.messages: list[Any] = [] if messages is None else messages
 
 
 _context_key = attrgetter("key")
@@ -179,24 +181,26 @@ class CorrelationEngine:
     grouping adds a second queue per timeout, also in deadline order, of
     source-first entries keyed by group. A record all of whose keys are
     new, from a group with no entry, becomes one entry (deadline, spec,
-    record, halves) in place of its one-message contexts, its pending
-    halves: bit i of halves stands for key i of spec's keys(record). No key
-    is both a pending half and in the queue, so the entry is read only
-    when one of a record's keys misses in the queue, and its keys are then
-    rebuilt from its record. A pending half whose key the new record shares
-    moves to the back of the queue as a Context holding both held messages;
-    the other halves keep the entry and its place, and the new record's
-    other new keys go to the queue. An entry leaves at its deadline with no
-    trigger call and counts one expired context per half still pending.
+    record, pending) in place of its one-message contexts: each of the
+    record's keys is a pending half, and pending counts them. A half leaves
+    the entry only by joining the queue, with a deadline no earlier than
+    the entry's, so it cannot expire first. Hence the store's invariant:
+    while an entry is live, each of its record's keys is either a pending
+    half or in the queue, never both, and a half is pending exactly when
+    its key is not in the queue. The entry is therefore read only when a
+    key of its group's next record misses in the queue. A missed key that
+    is a pending half joins the back of the queue as a Context holding both
+    held messages, and pending drops by one; the entry keeps its place
+    until pending reaches 0. Any other missed key is created in the queue.
+    An entry leaves at its deadline with no trigger call and counts one
+    expired context per half still pending.
 
     add(keys, spec, message) is the only store write and returns nothing.
-    It calls spec.hold on the record at most once, and only when the record
-    joins the queue or a group already pending. find_context,
-    live_contexts() and queue_lengths() are the reads, and never change the
-    store. The first two return a queued context as the object the queue
-    holds, and show each pending half as a Context rebuilt, and its record
-    held, on every call. find_context may scan every pending entry of a
-    timeout.
+    find_context, live_contexts() and queue_lengths() are the reads, and
+    never change the store. The first two return a queued context as the
+    object the queue holds, and show each pending half as a Context
+    rebuilt, and its record held, on every call. find_context may scan
+    every pending entry of a timeout.
     """
 
     def __init__(self, ruleset: Ruleset, *, clock: Any = None, sinks: Any = None):
@@ -208,7 +212,7 @@ class CorrelationEngine:
         # timeout value.
         self._queues: defaultdict[float, OrderedDict[Any, Context]] = defaultdict(OrderedDict)
         # Source-first entries by timeout value, then by group, in deadline
-        # order: (deadline, spec, record, halves).
+        # order: (deadline, spec, record, pending).
         self._sources: defaultdict[float, OrderedDict[Any, tuple[float, ContextSpec, Any, int]]] = (
             defaultdict(OrderedDict)
         )
@@ -221,31 +225,30 @@ class CorrelationEngine:
     def now(self) -> float:
         return self._now
 
-    def _pending(self, timeout: float) -> Iterator[Context]:
+    def _pending(self, timeout: float, queue: OrderedDict[Any, Context]) -> Iterator[Context]:
         """A new Context for each pending half under timeout, in deadline
-        order. Each call holds the entries' records anew."""
-        for deadline, spec, message, halves in self._sources.get(timeout, {}).values():
+        order: each key of an entry's record that is not in queue. Each
+        call holds the entries' records anew."""
+        for deadline, spec, message, _ in self._sources.get(timeout, {}).values():
             keys = spec.grouping[1](message)
             if spec.hold is not None:
                 message = spec.hold(message)
-            for i, key in enumerate(keys):
-                if halves >> i & 1:
-                    ctx = Context(key, spec, deadline)
-                    ctx.messages.append(message)
-                    yield ctx
+            for key in keys:
+                if key not in queue:
+                    yield Context(key, spec, deadline, [message])
 
     def live_contexts(self) -> list[Context]:
         """Every live context, timeout by timeout, each in deadline order.
         Pending halves are rebuilt on each call and merged in."""
         live: list[Context] = []
         for timeout, queue in self._queues.items():
-            live += heapq.merge(queue.values(), self._pending(timeout), key=_deadline)
+            live += heapq.merge(queue.values(), self._pending(timeout, queue), key=_deadline)
         return live
 
     def queue_lengths(self) -> dict[float, int]:
         """Live contexts per timeout value, each pending half counted as one."""
         return {
-            timeout: len(queue) + sum(entry[3].bit_count() for entry in self._sources.get(timeout, {}).values())
+            timeout: len(queue) + sum(entry[3] for entry in self._sources.get(timeout, {}).values())
             for timeout, queue in self._queues.items()
         }
 
@@ -257,7 +260,7 @@ class CorrelationEngine:
             ctx = queue.get(key)
             if ctx is not None:
                 return ctx
-            for ctx in self._pending(timeout):
+            for ctx in self._pending(timeout, queue):
                 if ctx.key == key:
                     return ctx
         return None
@@ -274,7 +277,15 @@ class CorrelationEngine:
         context under spec's timeout value and slide its deadline, or
         create the context. keys is a sequence, such as a list or a tuple,
         as a grouping's keys(record) gives it: add may take its length and
-        read it more than once."""
+        read it more than once.
+
+        With a grouping, the keys that miss in the queue are settled
+        together once the others have slid: as a new source-first entry
+        when every key missed and the group has none, otherwise each as a
+        pending half joining the queue or as a new Context. spec.hold runs
+        on message at most once, and only when it goes into a Context; an
+        entry's record is held once per call that moves its halves.
+        """
         timeout = spec.timeout_value
         queue = self._queues[timeout]
         deadline = self._now + timeout
@@ -301,69 +312,42 @@ class CorrelationEngine:
             # The keys that missed are the ones still not in the queue.
             sources = self._sources[timeout]
             group = grouping[0](message)
-            pending = sources.get(group)
-            if pending is None and missed == len(keys):
+            entry = sources.get(group)
+            if entry is None and missed == len(keys):
                 # Every key is new: the group is seen once so far, and its
                 # record is kept as given.
-                sources[group] = (deadline, spec, message, (1 << missed) - 1)
+                sources[group] = (deadline, spec, message, missed)
                 created = missed
             else:
                 if hold is not None:
                     message = hold(message)
-                if pending is not None:
-                    created = self._split(queue, sources, group, pending, keys, spec, message, deadline)
-                else:
-                    for key in keys:
-                        if key not in queue:
-                            ctx = queue[key] = Context(key, spec, deadline)
-                            ctx.messages.append(message)
-                    created = missed
+                # A missed key of the entry's record is one of its pending halves.
+                halves: Sequence[Any] = ()
+                if entry is not None:
+                    _, held_spec, record, pending = entry
+                    halves = held_spec.grouping[1](record)
+                held = None
+                joined = 0
+                for key in keys:
+                    if key in queue:
+                        continue
+                    if key in halves:
+                        if held is None:
+                            held = record if held_spec.hold is None else held_spec.hold(record)
+                        queue[key] = Context(key, held_spec, deadline, [held, message])
+                        joined += 1
+                    else:
+                        queue[key] = Context(key, spec, deadline, [message])
+                        created += 1
+                if joined and joined == pending:
+                    del sources[group]
+                elif joined:
+                    # Assigning to a present key keeps its place in deadline order.
+                    sources[group] = (entry[0], held_spec, record, pending - joined)
         if created:
             self.report.contexts_created += created
             if deadline < self._next_due:
                 self._next_due = deadline
-
-    def _split(
-        self,
-        queue: OrderedDict[Any, Context],
-        sources: OrderedDict[Any, Any],
-        group: Any,
-        pending: tuple[float, ContextSpec, Any, int],
-        keys: Sequence[Any],
-        spec: ContextSpec,
-        message: Any,
-        deadline: float,
-    ) -> int:
-        """add for the keys of a record that are not in queue when their
-        group already has a source-first entry; message is the record's held
-        form. A key equal to a pending half moves that half to the back of
-        the queue as a Context holding the entry's record, held now, and
-        then this message; any other is created in the queue. Returns the
-        number created."""
-        _, held_spec, record, halves = pending
-        held_keys = held_spec.grouping[1](record)
-        held = None
-        created = 0
-        for key in keys:
-            if key in queue:
-                continue
-            bit = 1 << held_keys.index(key) if key in held_keys else 0
-            if halves & bit:
-                halves ^= bit
-                if held is None:
-                    held = record if held_spec.hold is None else held_spec.hold(record)
-                ctx = queue[key] = Context(key, held_spec, deadline)
-                ctx.messages.append(held)
-            else:
-                ctx = queue[key] = Context(key, spec, deadline)
-                created += 1
-            ctx.messages.append(message)
-        if not halves:
-            del sources[group]
-        elif halves != pending[3]:
-            # Assigning to a present key keeps its place in deadline order.
-            sources[group] = (pending[0], held_spec, record, halves)
-        return created
 
     def expire_contexts(self, now: float) -> None:
         """Remove every context whose deadline is <= now, firing triggers.
@@ -410,7 +394,7 @@ class CorrelationEngine:
                         if deadline < next_due:
                             next_due = deadline
                         break
-                    expired += entry[3].bit_count()
+                    expired += entry[3]
             report.contexts_expired += expired
         self._next_due = next_due
         if not triggered:

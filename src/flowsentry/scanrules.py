@@ -167,10 +167,10 @@ def probe(record: FlowRecord) -> Probe:
     later interned strings are immortal: every address ever held would
     stay in memory after its contexts expired.
 
-    The engine holds a record only when it joins the queue or a pending
-    source (see CorrelationEngine.add), so fresh sources rarely reach the
-    table. Reads that rebuild pending halves (the engine's _pending) call
-    this too: they may add to the table, never to the store.
+    The engine holds a record only when it goes into a queued Context (see
+    CorrelationEngine.add), so fresh sources rarely reach the table.
+    find_context and live_contexts() call this too, each time they show a
+    pending half: they may add to the table, never to the store.
     """
     source_ip, source_port, dest_ip, dest_port, event_time = _probe_fields(record)
     held = _held_values
@@ -273,7 +273,9 @@ def load_watchlist(path: str) -> tuple[list[WatchlistEntry], int]:
             if not line:
                 continue
             m = WATCHLIST_GRAMMAR.match(line)
-            if m is None or int(m.group(2)) > 65535:
+            # Past five digits after its leading zeros a port is too big,
+            # and int() refuses a run of more than 4,300.
+            if m is None or len(m.group(2).lstrip("0")) > 5 or int(m.group(2)) > 65535:
                 skipped += 1
                 logger.warning("skipping malformed watchlist line: %r", line)
                 continue

@@ -369,6 +369,11 @@ def test_bad_config_file_exits_1(tmp_path, capsys):
     assert run_command(["analyze", str(log), "--config", str(config)]) == 1
     config.write_text(yaml.safe_dump({"no_such_knob": 1}))
     assert run_command(["analyze", str(log), "--config", str(config)]) == 1
+    # PyYAML lets an integer longer than int() converts through as a ValueError.
+    config.write_text("min_messages: " + "9" * 5000 + "\n")
+    capsys.readouterr()
+    assert run_command(["analyze", str(log), "--config", str(config)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {config}: ")
 
 
 def test_a_date_that_is_no_day_of_the_calendar_exits_1(tmp_path, capsys):
@@ -477,6 +482,8 @@ def test_generate_bad_yaml_exits_1(tmp_path):
     bad.write_text("scans: [unclosed\n")
     assert run_command(["generate", str(bad)]) == 1
     bad.write_text(yaml.safe_dump({"duration": 60, "background_rate": 0.5, "rate": 1}))
+    assert run_command(["generate", str(bad)]) == 1
+    bad.write_text("duration: " + "9" * 5000 + "\n")
     assert run_command(["generate", str(bad)]) == 1
 
 

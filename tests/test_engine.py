@@ -3,6 +3,7 @@
 import gc
 import logging
 from collections import Counter
+from operator import attrgetter
 import threading
 import time
 
@@ -39,6 +40,7 @@ from flowsentry.scanrules import (
 )
 
 from conftest import make_line, make_record, slow_probe_records, tod
+from test_source_store import steps, stream, three_keys
 
 
 def count_rule(timeout=900.0, threshold=2, key_fn=lambda r: r.source_ip):
@@ -424,6 +426,34 @@ def test_reading_a_queued_context_builds_nothing_and_returns_the_stored_object(m
         assert all(a is b for a, b in zip(engine.live_contexts(), live, strict=True))
         assert all(engine.find_context(ctx.key) is ctx for ctx in live)
     assert built == []
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    start=st.integers(86400 - 1200, 86400 + 600),
+    steps=steps,
+    timeout=st.sampled_from([60.0, 300.0]),
+    keys=st.sampled_from([derive_keys, three_keys]),
+)
+def test_a_half_is_pending_exactly_when_its_key_is_not_queued(start, steps, timeout, keys):
+    spec = ContextSpec(
+        timeout,
+        trigger=lambda key, messages: len(messages) >= 2,
+        on_fire=lambda ctx: ctx.key,
+        grouping=(attrgetter("source_ip"), keys),
+    )
+
+    def action(engine, record):
+        engine.add(keys(record), spec, record)
+
+    engine = CorrelationEngine(Ruleset([Rule("store", lambda record: True, [action])]))
+    for record in stream(start, steps):
+        engine.process(record)
+        queue = engine._queues[timeout]
+        for deadline, _, held, pending in engine._sources[timeout].values():
+            record_keys = keys(held)
+            assert pending == sum(key not in queue for key in record_keys)
+            assert all(queue[key].deadline >= deadline for key in record_keys if key in queue)
 
 
 @pytest.mark.parametrize("timeout", [float("nan"), 0.0, -5.0])

@@ -185,12 +185,13 @@ def test_load_watchlist_skips_malformed_lines(tmp_path, caplog):
         "bad-name,80,in\n"
         "NoDirection,81\n"
         "TooBig,99999,in\n"
+        "NetBus," + "9" * 5000 + ",in\n"
         "sshd,22,out\n"
     )
     with caplog.at_level(logging.WARNING):
         entries, skipped = load_watchlist(str(path))
     assert [e.name for e in entries] == ["NetBus", "Back Orifice 2000", "sshd"]
-    assert skipped == 3
+    assert skipped == 4
     assert "skipping malformed watchlist line" in caplog.text
 
 
