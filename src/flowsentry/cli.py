@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import logging
+import math
 import os
+import stat
 import sys
 from itertools import chain
 from typing import Any
@@ -122,6 +125,13 @@ def _output_sinks(output_dir: str, base: str | None, console: bool = False) -> S
     return SinkSet(*paths, console=console)
 
 
+def _check_log(path: str) -> None:
+    """Fail before any output file is created: os.stat() raises for a missing
+    log, but a directory passes it and open() refuses it only later."""
+    if stat.S_ISDIR(os.stat(path).st_mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def _print_lines(sinks: SinkSet, *lines: str) -> bool:
     """Print lines and flush stdout; False if that failed. A failed write, as to a reader
     gone under `| head -n 1`, counts as a failed output write instead of ending the run."""
@@ -148,7 +158,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         logger.warning("skipped %d malformed watchlist lines", skipped)
     ruleset = build_scan_ruleset(config, watchlist)
     for log in args.logs:
-        os.stat(log)  # fail before any output file is created
+        _check_log(log)
     sinks = _output_sinks(config.output_dir, os.path.basename(args.logs[0]), console=not args.no_console)
     streams = [ingest(log, "batch") for log in args.logs]
     with sinks:
@@ -169,9 +179,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_follow(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
+    if not math.isfinite(config.timeout_value):  # follow never calls finish()
+        raise ConfigError("follow needs a finite timeout_value: no context would ever expire")
     watchlist, _ = resolve_watchlist(config)
     ruleset = build_scan_ruleset(config, watchlist)
-    os.stat(args.log)  # fail before any output file is created
+    _check_log(args.log)
     sinks = _output_sinks(config.output_dir, None, console=not args.no_console)
     with sinks:
         try:
@@ -209,7 +221,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     watchlist, _ = resolve_watchlist(config)
     base = os.path.basename(args.log)
-    os.stat(args.log)  # fail before any output file is created
+    _check_log(args.log)
     sinks = _output_sinks(config.output_dir, base)
     records, stats = ingest(args.log, "batch")
     printing = True

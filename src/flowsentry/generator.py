@@ -4,8 +4,10 @@ line-accurate ground truth."""
 from __future__ import annotations
 
 import ipaddress
+import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_LOCAL_NETS, PRESET_NAMES, ConfigError, check_int, check_keys, check_number, check_str, string_tuple
@@ -69,8 +71,9 @@ class GenConfig:
         check_int(self.start_tod, "start_tod")
         if self.duration < 1:
             raise ConfigError("duration must be at least 1 second")
-        if self.background_rate < 0:
-            raise ConfigError("background_rate must be non-negative")
+        # Written so that NaN fails too.
+        if not 0 <= self.background_rate < math.inf:
+            raise ConfigError("background_rate must be finite and non-negative")
         if not 0 <= self.start_tod < 86400:
             raise ConfigError("start_tod must be a time of day in seconds")
         try:
@@ -238,9 +241,8 @@ def generate(config: GenConfig) -> tuple[list[str], GroundTruth]:
     space = _AddressSpace(rng, config.local_nets, (s.scanner_ip for s in config.scans))
     tod = lambda offset: (config.start_tod + offset) % 86400
 
-    # entries: (time offset, order-breaking rank, record, probe label)
-    entries: list[tuple[int, tuple[int, ...], FlowRecord, tuple[int, int] | None]] = []
-
+    # entries: (time offset, record, index of the scan a probe belongs to)
+    probes: list[tuple[int, FlowRecord, int | None]] = []
     for si, spec in enumerate(config.scans):
         sport = rng.randint(1024, 65535)
         if spec.kind is ScanKind.VERTICAL:
@@ -249,77 +251,46 @@ def generate(config: GenConfig) -> tuple[list[str], GroundTruth]:
         else:
             hosts = space.distinct_local_ips(spec.probes)
             targets = [(host, int(spec.target)) for host in hosts]
-        for pi, t in enumerate(spec.probe_times()):
-            dst_ip, dst_port = targets[pi]
-            record = _probe_record(rng, spec, sport, dst_ip, dst_port, tod(t))
-            entries.append((t, (1, si, pi), record, (si, pi)))
+        for (dst_ip, dst_port), t in zip(targets, spec.probe_times()):
+            probes.append((t, _probe_record(rng, spec, sport, dst_ip, dst_port, tod(t)), si))
 
-    forbidden = [
-        (spec.start_time, spec.probe_times()[-1])
-        for spec in config.scans
-        if spec.adjacency == "adjacent"
-    ]
-    for i in range(round(config.background_rate * config.duration)):
+    forbidden = [(s.start_time, s.probe_times()[-1]) for s in config.scans if s.adjacency == "adjacent"]
+    entries = []
+    for _ in range(round(config.background_rate * config.duration)):
         t = _draw_background_time(rng, config.duration, forbidden)
-        entries.append((t, (0, i), _background_record(rng, space, tod(t)), None))
-
-    # Background sorts before probes at the same second, so probes of one
-    # scan stay contiguous when their gap is zero.
-    entries.sort(key=lambda e: (e[0], e[1]))
+        entries.append((t, _background_record(rng, space, tod(t)), None))
+    # The sort is stable, so background sorts before probes at the same
+    # second (probes of one scan stay contiguous when their gap is zero) and
+    # each group keeps the order it was drawn in.
+    entries += probes
+    entries.sort(key=itemgetter(0))
 
     for si, spec in enumerate(config.scans):
-        if spec.adjacency == "interleaved":
-            _force_interleaving(rng, space, entries, si)
-        else:
-            positions = [i for i, e in enumerate(entries) if e[3] is not None and e[3][0] == si]
-            if positions[-1] - positions[0] != len(positions) - 1:
+        if spec.adjacency == "adjacent":
+            at = [i for i, entry in enumerate(entries) if entry[2] == si]
+            if at[-1] - at[0] != len(at) - 1:
                 raise ConfigError(f"scan {si} cannot stay adjacent; scans overlap in time")
+            continue
+        # A background flow goes between any two probes of scan si that touch.
+        walked = []
+        for entry in entries:
+            if entry[2] == si and walked and walked[-1][2] == si:
+                t, record, _ = walked[-1]
+                walked.append((t, _background_record(rng, space, record.event_time), None))
+            walked.append(entry)
+        entries = walked
 
-    truth = _collect_truth(config.scans, entries)
     # Format in place so records are freed as lines appear; corpora can run
-    # to millions of entries.
+    # to millions of entries. Probes of a scan appear in the order drawn.
     lines: list[str] = []
-    for i, entry in enumerate(entries):
-        lines.append(format_line(entry[2]))
+    numbers: list[list[int]] = [[] for _ in config.scans]
+    for i, (_, record, si) in enumerate(entries):
+        lines.append(format_line(record))
+        if si is not None:
+            numbers[si].append(i + 1)
         entries[i] = None  # type: ignore[call-overload]
-    return lines, truth
-
-
-def _force_interleaving(
-    rng: random.Random,
-    space: _AddressSpace,
-    entries: list[tuple[int, tuple[int, ...], FlowRecord, tuple[int, int] | None]],
-    si: int,
-) -> None:
-    """Insert a background flow wherever two probes of scan si touch."""
-    while True:
-        positions = [i for i, e in enumerate(entries) if e[3] is not None and e[3][0] == si]
-        insert_at = None
-        for a, b in zip(positions, positions[1:]):
-            if b == a + 1:
-                insert_at = a + 1
-                break
-        if insert_at is None:
-            return
-        t = entries[insert_at - 1][0]
-        record = _background_record(rng, space, entries[insert_at - 1][2].event_time)
-        entries.insert(insert_at, (t, (0, -1), record, None))
-
-
-def _collect_truth(
-    scans: Sequence[ScanSpec],
-    entries: list[tuple[int, tuple[int, ...], FlowRecord, tuple[int, int] | None]],
-) -> GroundTruth:
-    by_scan: dict[int, list[tuple[int, int]]] = {si: [] for si in range(len(scans))}
-    for pos, entry in enumerate(entries):
-        if entry[3] is not None:
-            si, pi = entry[3]
-            by_scan[si].append((pi, pos + 1))
-    out = []
-    for si, spec in enumerate(scans):
-        numbers = tuple(line for _, line in sorted(by_scan[si]))
-        out.append(GroundTruthScan(spec.kind, spec.scanner_ip, spec.target, numbers))
-    return GroundTruth(tuple(out))
+    scans = (GroundTruthScan(s.kind, s.scanner_ip, s.target, tuple(n)) for s, n in zip(config.scans, numbers))
+    return lines, GroundTruth(tuple(scans))
 
 
 def ground_truth_check(detections: Iterable[object], truth: GroundTruth) -> tuple[float, int]:

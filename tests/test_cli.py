@@ -320,6 +320,35 @@ def test_missing_input_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "baseline", "follow"])
+def test_a_directory_as_log_exits_2_and_leaves_the_output_files_alone(tmp_path, capsys, command):
+    log = tmp_path / "flows.log"
+    log.mkdir()
+    out = tmp_path / "out"
+    out.mkdir()
+    suffix = "" if command == "follow" else "_flows.log"
+    paths = [out / f"{name}{suffix}" for name in ("incoming", "outgoing", "portscans", "vulscans")]
+    for path in paths:
+        path.write_text("keep\n", encoding="utf-8")
+    assert run_command([command, str(log), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert [path.read_text(encoding="utf-8") for path in paths] == ["keep\n"] * 4
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_follow_refuses_an_infinite_timeout(tmp_path, capsys, monkeypatch, source):
+    calls = []
+    monkeypatch.setattr(cli, "run_follow", lambda *args, **kwargs: calls.append(args))
+    log = write_corpus(tmp_path)
+    config = tmp_path / "engine.yaml"
+    config.write_text("timeout_value: .inf\n", encoding="utf-8")
+    timeout = ["--timeout", "inf"] if source == "flag" else ["--config", str(config)]
+    assert run_command(["follow", str(log), "--out-dir", str(tmp_path / "out"), "--no-console", *timeout]) == 1
+    assert "timeout_value" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_flag_exits_1(capsys):
     assert run_command(["analyze", "x.log", "--frobnicate"]) == 1
     assert "usage:" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Synthetic corpus generation: determinism, placement, and ground truth."""
 
+import hashlib
+
 import pytest
 
 from flowsentry.config import PRESET_NAMES, ConfigError
@@ -132,6 +134,8 @@ def test_zero_background_adjacent_scan():
         dict(duration=100, background_rate=-1.0),
         dict(duration=100, background_rate=1.0, local_nets=()),
         dict(duration=100, background_rate=1.0, start_tod=90000),
+        dict(duration=100, background_rate=float("inf")),
+        dict(duration=100, background_rate=float("nan")),
     ],
 )
 def test_bad_config_raises_config_error(kwargs):
@@ -288,3 +292,54 @@ def test_gen_config_from_dict_rejects_values_of_the_wrong_type(changes, field):
     data = dict({"duration": 300, "background_rate": 1.0}, **changes)
     with pytest.raises(ConfigError, match=field):
         gen_config_from_dict(data)
+
+
+def _scan(kind, scanner, target, probes, gap, start, adjacency="interleaved"):
+    return ScanSpec(kind, scanner, target, probes, inter_probe_gap=gap, start_time=start, adjacency=adjacency)
+
+
+# Digests of the lines and truth text, recorded before the placement code
+# was rewritten: each config makes generate() sort, interleave or check
+# adjacency in a way the golden corpus does not.
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        pytest.param(
+            GenConfig(duration=120, background_rate=1.0, seed=11, scans=(_scan(ScanKind.HORIZONTAL, "5.5.5.10", 12346, 6, 0, 30),)),
+            "6a1ff12a10795e3a8cd9e1a4c6b81cc4e976fb7c1292c3de93415f5380afc15e",
+            id="interleaved-gap-0",
+        ),
+        pytest.param(
+            GenConfig(
+                duration=120,
+                background_rate=0.5,
+                seed=12,
+                scans=(
+                    _scan(ScanKind.HORIZONTAL, "5.5.5.10", 12346, 5, 1, 20),
+                    _scan(ScanKind.VERTICAL, "6.6.6.6", "10.0.0.7", 5, 0, 22),
+                ),
+            ),
+            "a3d9e2fdf2df7dc0878bb5da9ea3fcc4111b82c756551506df48cb795b516c67",
+            id="overlapping-interleaved",
+        ),
+        pytest.param(
+            GenConfig(duration=200, background_rate=3.0, seed=13, scans=(_scan(ScanKind.VERTICAL, "6.6.6.6", "10.0.0.7", 5, 0, 50, "adjacent"),)),
+            "61f8d6a5dcf9c7b2cd95bd3746a65ee0ef3d937a4aeae83aab34231f5f0b7aa2",
+            id="adjacent-gap-0-rate-3",
+        ),
+        pytest.param(
+            GenConfig(duration=60, background_rate=0.0, seed=14, scans=(_scan(ScanKind.HORIZONTAL, "5.5.5.10", 80, 4, 10, 5),)),
+            "40d1e81b3e973827981b57cb3ad2a5117142e8b4c5e1df077bd95080e1a02f00",
+            id="interleaved-no-background",
+        ),
+        pytest.param(
+            GenConfig(duration=120, background_rate=0.5, seed=15, start_tod=86400 - 30, scans=(_scan(ScanKind.HORIZONTAL, "5.5.5.10", 12346, 6, 2, 25),)),
+            "e3d87cd78a5ddde88bf5629bb8d9614e5c4115a51cef71f86e40004fb3ba6915",
+            id="midnight",
+        ),
+    ],
+)
+def test_placement_is_byte_stable(config, digest):
+    lines, truth = generate(config)
+    text = "".join(line + "\n" for line in lines) + ground_truth_to_text(truth)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
