@@ -2,7 +2,7 @@
 
 import importlib
 
-from .ingest import FlowRecord, IngestStats, ParseError, Protocol, StreamReset, format_line, ingest, open_stream, parse_line
+from .ingest import FlowRecord, IngestStats, ParseError, Protocol, format_line, ingest, open_stream, parse_line
 from .engine import Context, ContextSpec, CorrelationEngine, EngineReport, Rule, Ruleset, run_engine
 from .scanrules import (
     Direction,

@@ -67,7 +67,7 @@ def measure_throughput(log_path: str, config: EngineConfig, repetitions: int = 3
     times = []
     messages = 0
     for _ in range(repetitions):
-        records, stats = ingest(log_path, "batch")
+        records, stats = ingest(log_path)
         sinks = SinkSet.null()
         started = time.perf_counter()
         report = run_engine(records, ruleset, sinks=sinks)

@@ -125,11 +125,14 @@ def _output_sinks(output_dir: str, base: str | None, console: bool = False) -> S
     return SinkSet(*paths, console=console)
 
 
-def _check_log(path: str) -> None:
+def _check_log(path: str) -> int:
     """Fail before any output file is created: os.stat() raises for a missing
-    log, but a directory passes it and open() refuses it only later."""
-    if stat.S_ISDIR(os.stat(path).st_mode):
+    log, but a directory passes it and open() refuses it only later. Returns
+    the log's st_mode."""
+    mode = os.stat(path).st_mode
+    if stat.S_ISDIR(mode):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    return mode
 
 
 def _print_lines(sinks: SinkSet, *lines: str) -> bool:
@@ -160,7 +163,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     for log in args.logs:
         _check_log(log)
     sinks = _output_sinks(config.output_dir, os.path.basename(args.logs[0]), console=not args.no_console)
-    streams = [ingest(log, "batch") for log in args.logs]
+    streams = [ingest(log) for log in args.logs]
     with sinks:
         # Several logs are one continuous stream: contexts carry across file
         # boundaries and only the very end flushes.
@@ -183,7 +186,9 @@ def _cmd_follow(args: argparse.Namespace) -> int:
         raise ConfigError("follow needs a finite timeout_value: no context would ever expire")
     watchlist, _ = resolve_watchlist(config)
     ruleset = build_scan_ruleset(config, watchlist)
-    _check_log(args.log)
+    if not stat.S_ISREG(_check_log(args.log)):
+        # A pipe or device has no size to tail by: it reads as truncated.
+        raise OSError(f"follow needs a regular file, and {args.log} is not one")
     sinks = _output_sinks(config.output_dir, None, console=not args.no_console)
     with sinks:
         try:
@@ -223,7 +228,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     base = os.path.basename(args.log)
     _check_log(args.log)
     sinks = _output_sinks(config.output_dir, base)
-    records, stats = ingest(args.log, "batch")
+    records, stats = ingest(args.log)
     printing = True
 
     def progress(n: int) -> None:
@@ -243,7 +248,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     config = _resolve_config(args)
     watchlist, _ = resolve_watchlist(config)
-    record_iter, _stats = ingest(args.log, "batch")
+    record_iter, _stats = ingest(args.log)
     records = list(record_iter)
     engine_report = run_engine(records, build_scan_ruleset(config, watchlist))
     baseline_report = baseline_scan(records, watchlist, config.networks(), config.resolved_date(), config.tz)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .ingest import FlowRecord, IngestStats, ingest
+from .ingest import FlowRecord, IngestStats, TailReader, parse_blocks
 
 Matcher = Callable[[FlowRecord], bool]
 Action = Callable[["CorrelationEngine", FlowRecord], None]
@@ -469,28 +469,33 @@ def run_follow(
 ) -> tuple[EngineReport, IngestStats]:
     """Follow a growing log file, correlating as lines arrive.
 
-    Engine time is the wall clock, and expiry is also checked on an idle
-    tick so contexts die on schedule when no traffic shows up. Sinks, when
-    given, are flushed once per poll, so each poll's output is in the files
-    before the next poll starts. There is no end-of-stream expiry; the loop
-    just stops when stop() turns true.
+    Each pass of the loop polls a TailReader, runs parse_blocks over the
+    whole lines that arrived and processes their records, sleeps when there
+    were none, checks expiry once tick_interval has passed since the last
+    tick, and flushes the sinks, if given, so each poll's output is in the
+    files before the next poll starts. stop() is called before every poll;
+    the loop ends when it returns true. Engine time is the wall clock, and
+    the tick expires contexts on schedule when no traffic shows up. There
+    is no end-of-stream expiry.
     """
     engine = CorrelationEngine(ruleset, clock=WallClock(now_fn), sinks=sinks)
+    stats = IngestStats()
+    reader = TailReader(source)
     last_tick = now_fn()
-
-    def tick_then_stop() -> bool:
-        # open_stream calls this before every poll: after a poll's records
-        # are processed, and after an idle sleep.
-        nonlocal last_tick
-        now = now_fn()
-        if now - last_tick >= tick_interval:
-            engine.advance(now)
-            last_tick = now
-        if sinks is not None:
-            sinks.flush()
-        return stop is not None and stop()
-
-    records, stats = ingest(source, "follow", poll_interval=min(poll_interval, tick_interval), stop=tick_then_stop)
-    for record in records:
-        engine.process(record)
+    try:
+        while stop is None or not stop():
+            text = reader.poll()
+            if text:
+                for record in parse_blocks(((text, len(text) - 1),), stats):
+                    engine.process(record)
+            else:
+                time.sleep(min(poll_interval, tick_interval))
+            now = now_fn()
+            if now - last_tick >= tick_interval:
+                engine.advance(now)
+                last_tick = now
+            if sinks is not None:
+                sinks.flush()
+    finally:
+        reader.close()
     return engine.report, stats

@@ -1,16 +1,15 @@
-"""Flow log line parsing plus batch and follow-mode file ingestion."""
+"""Flow log line parsing, file ingestion and tailing of a growing file."""
 
 from __future__ import annotations
 
 import logging
 import os
 import re
-import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import repeat
-from typing import BinaryIO, Callable, Iterator, NamedTuple, TextIO
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, TextIO
 
 logger = logging.getLogger(__name__)
 
@@ -58,7 +57,7 @@ _LINE_MATCH = re.compile(_LINE_PATTERN).fullmatch
 # The same grammar over a block of whole lines: one match per line, each a
 # tuple of the twelve fields. A line the grammar rejects, a blank one
 # included, matches the second alternative, so its first field is empty.
-# The carriage returns open_stream drops from a line's end are skipped.
+# Carriage returns at a line's end, which open_stream drops, are skipped.
 _find_lines = re.compile(rf"^(?:{_LINE_PATTERN}\r*|.*)$", re.M).findall
 
 # The grammar one token at a time, used only to locate the first offending
@@ -113,14 +112,6 @@ class IngestStats:
     lines_read: int = 0
     records_parsed: int = 0
     parse_failures: int = 0
-
-
-@dataclass(frozen=True)
-class StreamReset:
-    """Emitted in follow mode when the file shrank underneath the reader or
-    a new file took its name (log rotation)."""
-
-    line_number: int
 
 
 @cache
@@ -248,18 +239,20 @@ def format_line(record: FlowRecord) -> str:
 
 
 # Most bytes one poll() reads, so a burst of growth is taken in bounded
-# steps rather than in one read.
-READ_CHUNK_BYTES = 1 << 20
+# steps rather than in one read. A poll's text is parsed by one regex call,
+# whose list of field tuples grows with the text.
+READ_CHUNK_BYTES = 1 << 16
 
 
 class TailReader:
     """Non-blocking incremental reader for a file that may still be growing.
 
-    poll() returns complete lines that arrived since the last call, as
-    (line_number, text) pairs, reading at most READ_CHUNK_BYTES per call.
-    The file stays open between polls. Truncation, or a different file
-    under the path (a rename-and-recreate rotation, seen as a new device
-    and inode), shows up as a StreamReset item, and reading restarts from
+    poll() returns the complete lines that arrived since the last call as
+    one string, each line ending in a newline, or "" when none did. It
+    reads at most READ_CHUNK_BYTES per call and decodes as open_stream
+    does. The file stays open between polls. Truncation, or a different
+    file under the path (a rename-and-recreate rotation, seen as a new
+    device and inode), is logged as a warning, and reading restarts from
     the top of the file; on a rotation the old file is first read to its
     end, so lines written to it before the rename are kept, the last one
     too when it has no newline. While the path is missing, between a
@@ -271,7 +264,6 @@ class TailReader:
         self._path = path
         self._pos = 0
         self._buf = b""
-        self._line_no = 0
         # Fail fast on unreadable paths.
         self._handle = open(path, "rb")
         self._file_id = self._id_of(self._handle)
@@ -284,8 +276,8 @@ class TailReader:
     def close(self) -> None:
         self._handle.close()
 
-    def poll(self) -> list[tuple[int, str] | StreamReset]:
-        out: list[tuple[int, str] | StreamReset] = []
+    def poll(self) -> str:
+        out = bytearray()
         try:
             st = os.stat(self._path)
         except FileNotFoundError:
@@ -293,44 +285,41 @@ class TailReader:
         budget = READ_CHUNK_BYTES
         if st is not None and (st.st_dev, st.st_ino) != self._file_id:
             budget -= self._read(out, budget)
-            if budget == 0:
-                return out  # the old file may hold more; drain it first
-            try:
-                handle = open(self._path, "rb")
-            except FileNotFoundError:
-                return out
-            self._handle.close()
-            self._handle = handle
-            self._file_id = self._id_of(handle)
-            if self._buf:
-                # The old file is read to its end: its last line is complete
-                # even without a newline, as it is in batch mode.
-                self._emit(out, self._buf)
-            self._restart(out)
+            if budget:  # else the old file may hold more; drain it first
+                self._reopen(out)
         elif st is not None and st.st_size < self._pos:
-            self._restart(out)
+            self._restart()
         self._read(out, budget)
-        return out
+        return out.decode("utf-8", errors="replace")
 
-    def _restart(self, out: list[tuple[int, str] | StreamReset]) -> None:
-        out.append(StreamReset(self._line_no))
+    def _reopen(self, out: bytearray) -> None:
+        try:
+            handle = open(self._path, "rb")
+        except FileNotFoundError:
+            return
+        self._handle.close()
+        self._handle = handle
+        self._file_id = self._id_of(handle)
+        if self._buf:
+            # The old file is read to its end: its last line is complete
+            # even without a newline, as it is in batch mode.
+            out += self._buf + b"\n"
+        self._restart()
+
+    def _restart(self) -> None:
+        logger.warning("%s was truncated or replaced; following from the top", self._path)
         self._handle.seek(0)
         self._pos = 0
         self._buf = b""
 
-    def _read(self, out: list[tuple[int, str] | StreamReset], budget: int) -> int:
+    def _read(self, out: bytearray, budget: int) -> int:
         chunk = self._handle.read(budget)
-        if not chunk:
-            return 0
         self._pos += len(chunk)
-        *complete, self._buf = (self._buf + chunk).split(b"\n")
-        for raw in complete:
-            self._emit(out, raw)
+        self._buf += chunk
+        end = self._buf.rfind(b"\n") + 1
+        out += self._buf[:end]
+        self._buf = self._buf[end:]
         return len(chunk)
-
-    def _emit(self, out: list[tuple[int, str] | StreamReset], raw: bytes) -> None:
-        self._line_no += 1
-        out.append((self._line_no, raw.decode("utf-8", errors="replace").rstrip("\r")))
 
 
 def _open_text(source: str) -> TextIO:
@@ -363,96 +352,64 @@ def _file_blocks(source: str) -> Iterator[tuple[str, int]]:
         yield tail, len(tail)
 
 
-def open_stream(
-    source: str,
-    mode: str = "batch",
-    *,
-    poll_interval: float = 0.1,
-    stop: Callable[[], bool] | None = None,
-) -> Iterator[tuple[int, str] | StreamReset]:
-    """Yield (line_number, text) items from a log file.
+def open_stream(source: str, mode: str = "batch") -> Iterator[tuple[int, str]]:
+    """Yield (line_number, text) for each line of a log file, read to its
+    end. "batch" is the only mode.
 
-    Both modes split a file into the same lines: a line ends only at a
-    newline byte (or, in batch mode, at the end of the file), trailing
+    A line ends only at a newline byte or at the end of the file, trailing
     carriage returns are dropped, and text is decoded as UTF-8 with
-    undecodable bytes replaced.
-
-    Batch mode reads to EOF and stops. Follow mode keeps polling for growth
-    until stop() turns true, reporting truncation and rotation as a
-    StreamReset item. stop() is called once before every poll: first before
-    the first poll, then after the consumer has taken a poll's items, or
-    after the idle sleep when a poll found nothing. A caller may do periodic
-    work inside it.
+    undecodable bytes replaced. TailReader splits and decodes a growing
+    file the same way.
     """
-    if mode == "batch":
-        with _open_text(source) as handle:
-            yield from enumerate(map(str.rstrip, handle, repeat("\r\n")), 1)
-        return
-    if mode != "follow":
+    if mode != "batch":
         raise ValueError(f"unknown mode {mode!r}")
-    reader = TailReader(source)
-    try:
-        while stop is None or not stop():
-            items = reader.poll()
-            if items:
-                yield from items
-            else:
-                time.sleep(poll_interval)
-    finally:
-        reader.close()
+    with _open_text(source) as handle:
+        yield from enumerate(map(str.rstrip, handle, repeat("\r\n")), 1)
 
 
-def ingest(
-    source: str,
-    mode: str = "batch",
-    *,
-    poll_interval: float = 0.1,
-    stop: Callable[[], bool] | None = None,
-) -> tuple[Iterator[FlowRecord], IngestStats]:
-    """Parse a log file into records.
+def parse_blocks(blocks: Iterable[tuple[str, int]], stats: IngestStats) -> Iterator[FlowRecord]:
+    """The one parse-and-count loop: the records of the lines in (text, end)
+    blocks, where text[:end] holds whole lines joined by newlines. Fields
+    are converted as parse_line does. Malformed lines are counted in stats
+    and skipped, never fatal; lines_read == records_parsed + parse_failures
+    holds at all times."""
+    # Logs come in time order, so most lines repeat the stamp texts last
+    # converted, and reuse that event_time.
+    hours_seen = minutes_seen = seconds_seen = None
+    event_time = 0
+    for text, end in blocks:
+        for (
+            raw_1, raw_2, hours, minutes, seconds, protocol,
+            source_ip, source_token, dest_ip, dest_token, raw_8, packets,
+        ) in _find_lines(text, 0, end):
+            stats.lines_read += 1
+            if not raw_1:
+                stats.parse_failures += 1
+                continue
+            try:
+                if seconds != seconds_seen or minutes != minutes_seen or hours != hours_seen:
+                    event_time = _seconds_of_day(hours, minutes, seconds)
+                    hours_seen, minutes_seen, seconds_seen = hours, minutes, seconds
+                record = _record(
+                    raw_1, raw_2, event_time, protocol, source_ip, source_token, dest_ip, dest_token, raw_8, packets
+                )
+            except ValueError:  # a digit run longer than int() converts
+                stats.parse_failures += 1
+                continue
+            if record[5] > 65535 or record[7] > 65535:  # source_port, dest_port
+                stats.parse_failures += 1
+                continue
+            stats.records_parsed += 1
+            yield record
+
+
+def ingest(source: str) -> tuple[Iterator[FlowRecord], IngestStats]:
+    """Parse a log file, read to its end, into records.
 
     Returns a lazy record iterator plus a stats object that fills in as the
-    iterator is consumed. Malformed lines are counted and skipped, never
-    fatal; lines_read == records_parsed + parse_failures holds at all times.
+    iterator is consumed. The file is split into lines as open_stream
+    splits it, and parsed by parse_blocks; run_follow runs the same loop
+    over each poll of a growing file.
     """
     stats = IngestStats()
-
-    def followed_blocks() -> Iterator[tuple[str, int]]:
-        for item in open_stream(source, mode, poll_interval=poll_interval, stop=stop):
-            if isinstance(item, StreamReset):
-                logger.warning("%s was truncated or replaced; following from the top", source)
-                continue
-            yield item[1], len(item[1])
-
-    def records() -> Iterator[FlowRecord]:
-        # The one parse-and-count loop, converting fields as parse_line does.
-        # Logs come in time order, so most lines repeat the stamp texts last
-        # converted, and reuse that event_time.
-        hours_seen = minutes_seen = seconds_seen = None
-        event_time = 0
-        for text, end in _file_blocks(source) if mode == "batch" else followed_blocks():
-            for (
-                raw_1, raw_2, hours, minutes, seconds, protocol,
-                source_ip, source_token, dest_ip, dest_token, raw_8, packets,
-            ) in _find_lines(text, 0, end):
-                stats.lines_read += 1
-                if not raw_1:
-                    stats.parse_failures += 1
-                    continue
-                try:
-                    if seconds != seconds_seen or minutes != minutes_seen or hours != hours_seen:
-                        event_time = _seconds_of_day(hours, minutes, seconds)
-                        hours_seen, minutes_seen, seconds_seen = hours, minutes, seconds
-                    record = _record(
-                        raw_1, raw_2, event_time, protocol, source_ip, source_token, dest_ip, dest_token, raw_8, packets
-                    )
-                except ValueError:  # a digit run longer than int() converts
-                    stats.parse_failures += 1
-                    continue
-                if record[5] > 65535 or record[7] > 65535:  # source_port, dest_port
-                    stats.parse_failures += 1
-                    continue
-                stats.records_parsed += 1
-                yield record
-
-    return records(), stats
+    return parse_blocks(_file_blocks(source), stats), stats

@@ -349,6 +349,26 @@ def test_follow_refuses_an_infinite_timeout(tmp_path, capsys, monkeypatch, sourc
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_follow_refuses_a_fifo_and_leaves_the_output_files_alone(tmp_path, capsys, monkeypatch):
+    # A recorder in place of run_follow: a follow that started would wait on
+    # the pipe for ever.
+    calls = []
+    monkeypatch.setattr(cli, "run_follow", lambda *args, **kwargs: calls.append(args))
+    log = tmp_path / "flows.log"
+    os.mkfifo(log)
+    out = tmp_path / "out"
+    out.mkdir()
+    paths = [out / name for name in ("incoming", "outgoing", "portscans", "vulscans")]
+    for path in paths:
+        path.write_text("keep\n", encoding="utf-8")
+    assert run_command(["follow", str(log), "--out-dir", str(out), "--no-console"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(log) in err
+    assert calls == []
+    assert [path.read_text(encoding="utf-8") for path in paths] == ["keep\n"] * 4
+
+
 def test_unknown_flag_exits_1(capsys):
     assert run_command(["analyze", "x.log", "--frobnicate"]) == 1
     assert "usage:" in capsys.readouterr().err

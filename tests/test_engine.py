@@ -389,7 +389,7 @@ def count_contexts_built(monkeypatch):
 
 
 def test_a_scan_run_builds_no_context_for_a_source_seen_once(tmp_path, monkeypatch):
-    records, _ = ingest(mixed_corpus(tmp_path), "batch")
+    records, _ = ingest(mixed_corpus(tmp_path))
     records = list(records)
     config = EngineConfig(trigger_policy="min_messages", min_messages=2, date="2004/11/05")
     ruleset = build_scan_ruleset(config, Watchlist())
@@ -673,7 +673,7 @@ def test_run_engine_leaves_no_garbage_cycles(tmp_path):
     # The premise of the collector pause: with the collector off, a whole
     # run, sinks included, leaves nothing that only a collection frees.
     log = mixed_corpus(tmp_path)
-    times = [record.event_time for record in ingest(log, "batch")[0]]
+    times = [record.event_time for record in ingest(log)[0]]
     assert times[0] > times[-1]  # the stream crosses midnight
     ruleset = scan_ruleset()
     sinks = SinkSet(*(str(tmp_path / name) for name in ("in", "out", "scans", "vulns")))
@@ -681,7 +681,7 @@ def test_run_engine_leaves_no_garbage_cycles(tmp_path):
     gc.disable()
     try:
         gc.collect()
-        records, stats = ingest(log, "batch")
+        records, stats = ingest(log)
         with sinks:
             report = run_engine(records, ruleset, sinks=sinks)
         unreachable = gc.collect()
@@ -697,8 +697,8 @@ def test_run_engine_leaves_no_garbage_cycles(tmp_path):
 @pytest.mark.parametrize("make_sinks", [lambda: None, SinkSet.null, SpySinks], ids=["none", "null", "spy"])
 def test_a_run_without_files_keeps_every_alert(tmp_path, make_sinks):
     log = mixed_corpus(tmp_path)
-    kept = run_engine(ingest(log, "batch")[0], scan_ruleset()).alerts
-    report = run_engine(ingest(log, "batch")[0], scan_ruleset(), sinks=make_sinks())
+    kept = run_engine(ingest(log)[0], scan_ruleset()).alerts
+    report = run_engine(ingest(log)[0], scan_ruleset(), sinks=make_sinks())
     assert report.alerts == kept
     assert report.alert_counts == Counter(alert.__class__ for alert in kept)
     assert report.alert_counts[ScanAlert] >= 2
@@ -707,7 +707,7 @@ def test_a_run_without_files_keeps_every_alert(tmp_path, make_sinks):
 
 def test_a_console_only_run_keeps_just_the_alerts_the_console_skips(tmp_path, capsys):
     log = mixed_corpus(tmp_path)
-    report = run_engine(ingest(log, "batch")[0], scan_ruleset(), sinks=SinkSet(console=True))
+    report = run_engine(ingest(log)[0], scan_ruleset(), sinks=SinkSet(console=True))
     # The console echoes scan alerts; vulnerability alerts go to a file only.
     assert report.alerts
     assert all(isinstance(alert, VulnAlert) for alert in report.alerts)
@@ -770,6 +770,25 @@ def test_follow_with_files_keeps_no_alerts(tmp_path):
     assert report.alerts == []
     assert tick["vulscans"].count("Potential Vulnerability") == 1200
     assert tick["portscans"].count("Horizontal scan:") == 600
+
+
+def test_follow_writes_what_analyze_writes(tmp_path):
+    # Engine time differs between the two, so the portscans file may; traffic
+    # lines and vulnerability alerts come from the records alone.
+    log = mixed_corpus(tmp_path)
+    outputs = []
+    for command in ("analyze", "follow"):
+        out = tmp_path / command
+        out.mkdir()
+        with SinkSet(*(str(out / name) for name in SINK_NAMES)) as sinks:
+            if command == "analyze":
+                run_engine(ingest(log)[0], scan_ruleset(), sinks=sinks)
+            else:
+                # Ten polls read the whole file.
+                run_follow(log, scan_ruleset(), sinks=sinks, poll_interval=0.01, stop=iter([False] * 10 + [True]).__next__)
+        outputs.append({name: (out / name).read_bytes() for name in ("incoming", "outgoing", "vulscans")})
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["incoming"] and outputs[0]["vulscans"]
 
 
 def failing_records(records, after):

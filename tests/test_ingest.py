@@ -1,8 +1,7 @@
 """Line grammar, parse failures with offsets, and file tailing."""
 
+import logging
 import sys
-import threading
-import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -12,14 +11,15 @@ from flowsentry.ingest import (
     IngestStats,
     ParseError,
     Protocol,
-    StreamReset,
     TailReader,
     format_line,
     format_tod,
     ingest,
     open_stream,
+    parse_blocks,
     parse_line,
 )
+from flowsentry.engine import Ruleset, run_follow
 
 from conftest import make_line, make_record, tod
 
@@ -189,7 +189,7 @@ def test_a_long_digit_run_in_any_numeric_field_never_escapes_the_parse_error(tmp
     valid = make_line()
     log = tmp_path / f"{field}-{digits}-{lead}.log"
     log.write_text(f"{valid}\n{line}\n{valid}\n", encoding="utf-8")
-    records, stats = ingest(str(log), "batch")
+    records, stats = ingest(str(log))
     expected = [parse_line(valid)] + ([record] if record is not None else []) + [parse_line(valid)]
     assert list(records) == expected
     assert (stats.lines_read, stats.parse_failures) == (3, 1 if record is None else 0)
@@ -298,7 +298,7 @@ def test_batch_ingest_parses_what_open_stream_yields(tmp_path):
             want_stats.parse_failures += 1
         else:
             want_stats.records_parsed += 1
-    records, stats = ingest(str(path), "batch")
+    records, stats = ingest(str(path))
     assert list(records) == want
     assert stats == want_stats == IngestStats(lines_read=8, records_parsed=3, parse_failures=5)
     assert stats.lines_read == stats.records_parsed + stats.parse_failures
@@ -343,7 +343,15 @@ def test_batch_ingest_matches_parse_line_over_any_block_edges(tmp_path, monkeypa
     module = sys.modules[ingest.__module__]
     if block_chars is not None:
         monkeypatch.setattr(module, "BLOCK_CHARS", block_chars)
-    long_address = "0" * (2 * module.BLOCK_CHARS) + "5.5.5.10"
+    path = tmp_path / "flows.log"
+    path.write_bytes(_draw_log(data, "0" * (2 * module.BLOCK_CHARS) + "5.5.5.10"))
+    records, stats = ingest(str(path))
+    assert (list(records), stats) == _parsed_lines(path)
+
+
+def _draw_log(data, long_address):
+    """The bytes of a log of up to 30 lines of every kind that splits or
+    parses differently, the last one maybe without a newline."""
     kinds = st.sampled_from(["valid", "valid", "mutated", "blank", "long", "long-bad", "lone-cr", "undecodable"])
     lines = []
     for kind in data.draw(st.lists(kinds, max_size=30)):
@@ -364,10 +372,44 @@ def test_batch_ingest_matches_parse_line_over_any_block_edges(tmp_path, monkeypa
         lines.append(line + b"\r" * data.draw(st.integers(0, 3)) + b"\n")
     if lines and data.draw(st.booleans()):
         lines[-1] = lines[-1].rstrip(b"\n")
+    return b"".join(lines)
+
+
+def _one_poll(path):
+    """The text of a single TailReader poll of the file."""
+    reader = TailReader(str(path))
+    try:
+        return reader.poll()
+    finally:
+        reader.close()
+
+
+def _follow_records(texts):
+    """Records and stats of polled texts fed through the shared parse loop
+    one poll at a time, as run_follow feeds it."""
+    stats = IngestStats()
+    records = [record for text in texts if text for record in parse_blocks(((text, len(text) - 1),), stats)]
+    return records, stats
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@pytest.mark.parametrize("chunk_bytes", [1, 7, 64])
+@given(data=st.data())
+def test_follow_parses_what_batch_ingest_parses_over_any_poll_edges(tmp_path, monkeypatch, chunk_bytes, data):
+    monkeypatch.setattr(sys.modules[TailReader.__module__], "READ_CHUNK_BYTES", chunk_bytes)
     path = tmp_path / "flows.log"
-    path.write_bytes(b"".join(lines))
-    records, stats = ingest(str(path), "batch")
-    assert (list(records), stats) == _parsed_lines(path)
+    path.write_bytes(_draw_log(data, "0" * 128 + "5.5.5.10"))
+    records, stats = ingest(str(path))
+    want = list(records), stats
+    reader = TailReader(str(path))
+    # Enough polls to read every byte; then a rotation, after which the old
+    # file's last line counts even without a newline, as in batch mode.
+    texts = [reader.poll() for _ in range(path.stat().st_size // chunk_bytes + 1)]
+    path.rename(tmp_path / "flows.log.1")
+    path.write_bytes(b"")
+    texts.append(reader.poll())
+    reader.close()
+    assert _follow_records(texts) == want
 
 
 def test_a_repeated_stamp_text_reuses_its_time_and_any_other_text_is_computed(tmp_path):
@@ -375,15 +417,16 @@ def test_a_repeated_stamp_text_reuses_its_time_and_any_other_text_is_computed(tm
     path = tmp_path / "flows.log"
     path.write_text("".join(make_line(time=stamp) + "\n" for stamp in stamps))
     want = [3605, 7205, 3605, 3605, 3605]
-    records, _ = ingest(str(path), "batch")
+    records, _ = ingest(str(path))
     assert [record.event_time for record in records] == want
-    records, _ = ingest(str(path), "follow", stop=iter((False, True)).__next__)
+    records, _ = _follow_records([_one_poll(path)])
     assert [record.event_time for record in records] == want
 
 
 def _follow_one_poll(path):
-    """The items of a single follow-mode poll of the file."""
-    return list(open_stream(str(path), "follow", stop=iter((False, True)).__next__))
+    """The lines of a single TailReader poll of the file, split at newlines
+    with trailing carriage returns dropped."""
+    return [line.rstrip("\r") for line in _one_poll(path).split("\n")[:-1]]
 
 
 def test_open_stream_strips_crlf(tmp_path):
@@ -399,7 +442,7 @@ def test_open_stream_strips_crlf(tmp_path):
     for data, lines in cases:
         path.write_bytes(data)
         assert list(open_stream(str(path))) == lines, data
-        assert _follow_one_poll(path) == lines, data
+        assert _follow_one_poll(path) == [text for _, text in lines], data
 
 
 @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -407,7 +450,7 @@ def test_open_stream_strips_crlf(tmp_path):
 def test_batch_and_follow_split_any_bytes_alike(tmp_path, pieces):
     path = tmp_path / "flows.log"
     path.write_bytes(b"".join(pieces) + b"\n")
-    assert list(open_stream(str(path))) == _follow_one_poll(path)
+    assert [text for _, text in open_stream(str(path))] == _follow_one_poll(path)
 
 
 def test_open_stream_rejects_unknown_mode(tmp_path):
@@ -417,72 +460,78 @@ def test_open_stream_rejects_unknown_mode(tmp_path):
         list(open_stream(str(path), "stream"))
 
 
-def test_tail_reader_returns_only_complete_lines(tmp_path):
+def _poll(reader, caplog):
+    """One poll's text, and how many truncations or rotations it logged."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        text = reader.poll()
+    return text, caplog.text.count("was truncated or replaced; following from the top")
+
+
+def test_tail_reader_returns_only_complete_lines(tmp_path, caplog):
     path = tmp_path / "flows.log"
     path.write_text("one\ntwo")
     reader = TailReader(str(path))
-    assert reader.poll() == [(1, "one")]
+    assert _poll(reader, caplog) == ("one\n", 0)
     with open(path, "a") as handle:
         handle.write("\nthree\n")
-    assert reader.poll() == [(2, "two"), (3, "three")]
-    assert reader.poll() == []
+    assert _poll(reader, caplog) == ("two\nthree\n", 0)
+    assert _poll(reader, caplog) == ("", 0)
     reader.close()
 
 
-def test_tail_reader_reports_truncation(tmp_path):
+def test_tail_reader_reports_truncation(tmp_path, caplog):
     path = tmp_path / "flows.log"
     path.write_text("one\ntwo\n")
     reader = TailReader(str(path))
-    assert len(reader.poll()) == 2
+    assert _poll(reader, caplog) == ("one\ntwo\n", 0)
     path.write_text("new\n")
-    items = reader.poll()
-    assert items[0] == StreamReset(2)
-    # Reading restarts from the top but line numbers keep climbing.
-    assert items[1] == (3, "new")
+    # Reading restarts from the top.
+    assert _poll(reader, caplog) == ("new\n", 1)
     reader.close()
 
 
-def test_tail_reader_follows_rename_and_recreate_rotation(tmp_path):
+def test_tail_reader_follows_rename_and_recreate_rotation(tmp_path, caplog):
     path = tmp_path / "flows.log"
     path.write_text("old-1\nold-2\n")
     reader = TailReader(str(path))
-    assert reader.poll() == [(1, "old-1"), (2, "old-2")]
+    assert _poll(reader, caplog) == ("old-1\nold-2\n", 0)
     path.rename(tmp_path / "flows.log.1")
     # The new file is longer than the old one was, so its size alone does
     # not reveal the rotation.
     path.write_text("new-1\nnew-2\nnew-3\n")
-    assert reader.poll() == [StreamReset(2), (3, "new-1"), (4, "new-2"), (5, "new-3")]
-    assert reader.poll() == []
+    assert _poll(reader, caplog) == ("new-1\nnew-2\nnew-3\n", 1)
+    assert _poll(reader, caplog) == ("", 0)
     reader.close()
 
 
-def test_tail_reader_drains_the_old_file_before_a_rotation(tmp_path):
+def test_tail_reader_drains_the_old_file_before_a_rotation(tmp_path, caplog):
     path = tmp_path / "flows.log"
     path.write_text("old-1\n")
     reader = TailReader(str(path))
-    assert reader.poll() == [(1, "old-1")]
+    assert _poll(reader, caplog) == ("old-1\n", 0)
     with open(path, "a") as handle:
         handle.write("old-2\n")
     path.rename(tmp_path / "flows.log.1")
     path.write_text("new-1\n")
-    assert reader.poll() == [(2, "old-2"), StreamReset(2), (3, "new-1")]
-    assert reader.poll() == []
+    assert _poll(reader, caplog) == ("old-2\nnew-1\n", 1)
+    assert _poll(reader, caplog) == ("", 0)
     reader.close()
 
 
-def test_tail_reader_keeps_an_unterminated_last_line_of_a_rotated_file(tmp_path):
+def test_tail_reader_keeps_an_unterminated_last_line_of_a_rotated_file(tmp_path, caplog):
     path = tmp_path / "flows.log"
     path.write_text("old-1\nold-tail")
     reader = TailReader(str(path))
-    assert reader.poll() == [(1, "old-1")]
+    assert _poll(reader, caplog) == ("old-1\n", 0)
     path.rename(tmp_path / "flows.log.1")
     path.write_text("new-1\n")
-    assert reader.poll() == [(2, "old-tail"), StreamReset(2), (3, "new-1")]
-    assert reader.poll() == []
+    assert _poll(reader, caplog) == ("old-tail\nnew-1\n", 1)
+    assert _poll(reader, caplog) == ("", 0)
     reader.close()
 
 
-def test_tail_reader_drains_a_long_old_file_in_bounded_chunks(tmp_path, monkeypatch):
+def test_tail_reader_drains_a_long_old_file_in_bounded_chunks(tmp_path, monkeypatch, caplog):
     monkeypatch.setattr(sys.modules[TailReader.__module__], "READ_CHUNK_BYTES", 8)
     path = tmp_path / "flows.log"
     path.write_text("")
@@ -491,37 +540,34 @@ def test_tail_reader_drains_a_long_old_file_in_bounded_chunks(tmp_path, monkeypa
         handle.write("old-1\nold-2\nold-3\n")
     path.rename(tmp_path / "flows.log.1")
     path.write_text("new-1\n")
-    collected = []
-    for _ in range(10):
-        collected.extend(reader.poll())
-    assert collected == [(1, "old-1"), (2, "old-2"), (3, "old-3"), StreamReset(3), (4, "new-1")]
+    polls = [_poll(reader, caplog) for _ in range(10)]
+    # The reset comes in the poll that reads the old file's last bytes.
+    assert [poll for poll in polls if poll != ("", 0)] == [("old-1\n", 0), ("old-2\n", 0), ("old-3\nnew-1\n", 1)]
     reader.close()
 
 
-def test_tail_reader_waits_while_the_path_is_missing(tmp_path):
+def test_tail_reader_waits_while_the_path_is_missing(tmp_path, caplog):
     path = tmp_path / "flows.log"
     path.write_text("old-1\n")
     reader = TailReader(str(path))
-    assert reader.poll() == [(1, "old-1")]
+    assert _poll(reader, caplog) == ("old-1\n", 0)
     path.rename(tmp_path / "flows.log.1")
-    assert reader.poll() == []
+    assert _poll(reader, caplog) == ("", 0)
     path.write_text("new-1\n")
-    assert reader.poll() == [StreamReset(1), (2, "new-1")]
+    assert _poll(reader, caplog) == ("new-1\n", 1)
     reader.close()
 
 
-def test_tail_reader_reads_growth_in_bounded_chunks(tmp_path, monkeypatch):
+def test_tail_reader_reads_growth_in_bounded_chunks(tmp_path, monkeypatch, caplog):
     monkeypatch.setattr(sys.modules[TailReader.__module__], "READ_CHUNK_BYTES", 8)
     path = tmp_path / "flows.log"
     lines = [f"line-{i}" for i in range(10)]
     path.write_text("".join(line + "\n" for line in lines))
     reader = TailReader(str(path))
-    first = reader.poll()
-    assert first == [(1, "line-0")]
-    collected = list(first)
-    for _ in range(20):
-        collected.extend(reader.poll())
-    assert collected == list(enumerate(lines, 1))
+    polls = [_poll(reader, caplog) for _ in range(21)]
+    assert polls[0] == ("line-0\n", 0)
+    assert "".join(text for text, _ in polls) == "".join(line + "\n" for line in lines)
+    assert sum(resets for _, resets in polls) == 0
     reader.close()
 
 
@@ -532,20 +578,16 @@ def test_tail_reader_missing_file_fails_fast(tmp_path):
 
 def test_follow_stream_sees_appended_lines(tmp_path):
     path = tmp_path / "flows.log"
-    path.write_text("one\n")
-    collected = []
-    done = threading.Event()
+    path.write_text(make_line() + "\n")
+    calls = []
 
-    def append_later():
-        time.sleep(0.05)
-        with open(path, "a") as handle:
-            handle.write("two\n")
+    def stop():
+        # Called before every poll: a line arrives between the first two.
+        calls.append(None)
+        if len(calls) == 2:
+            with open(path, "a") as handle:
+                handle.write(make_line(time="14:03:34") + "\n")
+        return len(calls) > 2
 
-    thread = threading.Thread(target=append_later)
-    thread.start()
-    for item in open_stream(str(path), "follow", poll_interval=0.01, stop=done.is_set):
-        collected.append(item)
-        if len(collected) == 2:
-            done.set()
-    thread.join()
-    assert collected == [(1, "one"), (2, "two")]
+    _, stats = run_follow(str(path), Ruleset([]), poll_interval=0.01, stop=stop)
+    assert stats.records_parsed == 2

@@ -133,7 +133,7 @@ def test_run_engine_matches_an_independent_correlator(tmp_path_factory, start, s
 
     config = EngineConfig(timeout_value=timeout, trigger_policy=mode, min_messages=threshold, date="2004/11/05")
     sink = InstantSink()
-    records = chain.from_iterable(ingest(str(path), "batch")[0] for path in paths)
+    records = chain.from_iterable(ingest(str(path))[0] for path in paths)
     report = run_engine(numbered(records), build_scan_ruleset(config, Watchlist()), sinks=sink)
 
     def plain(alert):
