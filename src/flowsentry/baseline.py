@@ -71,12 +71,12 @@ def baseline_scan(
     def scan_out(text: str) -> None:
         report.portscan_lines.append(text)
         if sinks is not None:
-            sinks.write_portscans(text)
+            sinks.write("portscans", text)
 
     def vuln_out(text: str) -> None:
         report.vulscan_lines.append(text)
         if sinks is not None:
-            sinks.write_vulscans(text)
+            sinks.write("vulscans", text)
 
     for record in records:
         direction = classify_direction(record, nets)
@@ -125,10 +125,6 @@ class DiffSummary:
     engine_only: tuple[str, ...]
     baseline_only: tuple[str, ...]
 
-    def classify(self) -> dict[str, str]:
-        # Contexts survive interleaving; the adjacency pass does not.
-        return {ip: "non-adjacent" for ip in self.engine_only}
-
     def summary_lines(self) -> list[str]:
         lines = [
             f"flagged by both: {len(self.common)}",
@@ -137,6 +133,7 @@ class DiffSummary:
         ]
         for ip in self.common:
             lines.append(f"  both      {ip}")
+        # Contexts survive interleaving; the adjacency pass does not.
         for ip in self.engine_only:
             lines.append(f"  engine    {ip} (non-adjacent)")
         for ip in self.baseline_only:

@@ -11,12 +11,11 @@ import math
 import os
 import stat
 import sys
-from itertools import chain
-from typing import Any
+from typing import Any, Iterator
 
 from .config import PRESET_NAMES, ConfigError, EngineConfig, load_config, merge_overrides, read_yaml, resolve_watchlist
-from .engine import run_engine, run_follow
-from .ingest import ingest
+from .engine import CorrelationEngine, run_engine, run_follow
+from .ingest import FlowRecord, ingest
 from .pipeline import build_scan_ruleset
 from .reporting import SinkSet
 from .scanrules import TRIGGER_MODES, ScanAlert, VulnAlert
@@ -135,21 +134,20 @@ def _check_log(path: str) -> int:
     return mode
 
 
-def _print_lines(sinks: SinkSet, *lines: str) -> bool:
-    """Print lines and flush stdout; False if that failed. A failed write, as to a reader
-    gone under `| head -n 1`, counts as a failed output write instead of ending the run."""
+def _print_lines(*lines: str) -> int:
+    """Print lines and flush stdout; the number of failed output writes, 0 or 1. A failed
+    write, as to a reader gone under `| head -n 1`, is counted instead of ending the run."""
     try:
         print(*lines, sep="\n", flush=True)
     except OSError:
-        sinks.write_failures += 1
-        return False
-    return True
+        return 1
+    return 0
 
 
-def _write_failure_status(sinks: SinkSet) -> int:
+def _write_failure_status(failures: int) -> int:
     """Warn on stderr and exit 2 when any output write failed."""
-    if sinks.write_failures:
-        sys.stderr.write(f"warning: {sinks.write_failures} output writes failed; an output file or stdout is incomplete\n")
+    if failures:
+        sys.stderr.write(f"warning: {failures} output writes failed; an output file or stdout is incomplete\n")
         return 2
     return 0
 
@@ -163,21 +161,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     for log in args.logs:
         _check_log(log)
     sinks = _output_sinks(config.output_dir, os.path.basename(args.logs[0]), console=not args.no_console)
-    streams = [ingest(log) for log in args.logs]
+    # Several logs are one continuous stream: contexts carry across file
+    # boundaries and only the very end flushes.
+    records, stats = ingest(*args.logs)
     with sinks:
-        # Several logs are one continuous stream: contexts carry across file
-        # boundaries and only the very end flushes.
-        report = run_engine(chain.from_iterable(records for records, _ in streams), ruleset, sinks=sinks)
-    per_log = [stats for _, stats in streams]
-    _print_lines(
-        sinks,
-        f"{sum(s.lines_read for s in per_log)} lines read, {sum(s.records_parsed for s in per_log)} parsed, "
-        f"{sum(s.parse_failures for s in per_log)} malformed",
+        report = run_engine(records, ruleset, sinks=sinks)
+    failures = _print_lines(
+        f"{stats.lines_read} lines read, {stats.records_parsed} parsed, {stats.parse_failures} malformed",
         f"{report.contexts_created} contexts created, {report.contexts_fired} fired",
         f"{report.alert_counts[ScanAlert]} scan alerts -> {sinks.portscans_path}",
         f"{report.alert_counts[VulnAlert]} vulnerability alerts -> {sinks.vulscans_path}",
     )
-    return _write_failure_status(sinks)
+    return _write_failure_status(sinks.write_failures + failures)
 
 
 def _cmd_follow(args: argparse.Namespace) -> int:
@@ -195,7 +190,7 @@ def _cmd_follow(args: argparse.Namespace) -> int:
             run_follow(args.log, ruleset, sinks=sinks, tick_interval=config.tick_interval)
         except KeyboardInterrupt:
             pass
-    return _write_failure_status(sinks)
+    return _write_failure_status(sinks.write_failures)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -215,9 +210,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     truth_path = out_path + ".truth"
     with open(truth_path, "w", encoding="utf-8") as handle:
         handle.write(ground_truth_to_text(truth))
-    sinks = SinkSet.null()
-    _print_lines(sinks, f"wrote {len(lines)} lines to {out_path}, {len(truth.scans)} scans in {truth_path}")
-    return _write_failure_status(sinks)
+    return _write_failure_status(
+        _print_lines(f"wrote {len(lines)} lines to {out_path}, {len(truth.scans)} scans in {truth_path}")
+    )
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
@@ -228,19 +223,20 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     base = os.path.basename(args.log)
     _check_log(args.log)
     sinks = _output_sinks(config.output_dir, base)
-    records, stats = ingest(args.log)
-    printing = True
+    records, _ = ingest(args.log)
+    failed_progress = 0
 
     def progress(n: int) -> None:
-        nonlocal printing  # off after the first failed progress line
-        printing = printing and _print_lines(sinks, f"{base} has {n} lines!")
+        nonlocal failed_progress  # no progress line after the first that failed
+        if not failed_progress:
+            failed_progress = _print_lines(f"{base} has {n} lines!")
 
     with sinks:
         report = baseline_scan(
             records, watchlist, config.networks(), config.resolved_date(), config.tz, sinks=sinks, progress=progress
         )
-    _print_lines(sinks, f"{report.portscans} Portscans detected and written to {sinks.portscans_path}")
-    return _write_failure_status(sinks)
+    failures = _print_lines(f"{report.portscans} Portscans detected and written to {sinks.portscans_path}")
+    return _write_failure_status(sinks.write_failures + failed_progress + failures)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -248,13 +244,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     config = _resolve_config(args)
     watchlist, _ = resolve_watchlist(config)
-    record_iter, _stats = ingest(args.log)
-    records = list(record_iter)
-    engine_report = run_engine(records, build_scan_ruleset(config, watchlist))
-    baseline_report = baseline_scan(records, watchlist, config.networks(), config.resolved_date(), config.tz)
-    sinks = SinkSet.null()
-    _print_lines(sinks, *compare_reports(engine_report.alerts, baseline_report).summary_lines())
-    return _write_failure_status(sinks)
+    records, _ = ingest(args.log)
+    engine = CorrelationEngine(build_scan_ruleset(config, watchlist))
+
+    def engine_first() -> Iterator[FlowRecord]:
+        # One pass feeds both detectors, so the log is never held whole.
+        for record in records:
+            engine.process(record)
+            yield record
+
+    baseline_report = baseline_scan(engine_first(), watchlist, config.networks(), config.resolved_date(), config.tz)
+    engine_report = engine.finish()
+    return _write_failure_status(_print_lines(*compare_reports(engine_report.alerts, baseline_report).summary_lines()))
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -264,9 +265,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ConfigError("bench needs at least 3 repetitions")
     config = _resolve_config(args)
     result = measure_throughput(args.log, config, repetitions=args.repetitions)
-    sinks = SinkSet.null()
-    _print_lines(sinks, result.json_line(), *result.summary_lines())
-    return _write_failure_status(sinks)
+    return _write_failure_status(_print_lines(result.json_line(), *result.summary_lines()))
 
 
 def run_command(argv: list[str] | None = None) -> int:

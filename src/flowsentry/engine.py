@@ -199,8 +199,8 @@ class CorrelationEngine:
     find_context, live_contexts() and queue_lengths() are the reads, and
     never change the store. The first two return a queued context as the
     object the queue holds, and show each pending half as a Context
-    rebuilt, and its record held, on every call. find_context may scan
-    every pending entry of a timeout.
+    rebuilt, and its record held, on every call. find_context builds
+    live_contexts() and returns its first context with the key.
     """
 
     def __init__(self, ruleset: Ruleset, *, clock: Any = None, sinks: Any = None):
@@ -254,16 +254,9 @@ class CorrelationEngine:
 
     def find_context(self, key: Any) -> Context | None:
         """The live context for key under the first timeout value that has
-        one. A pending half is found by scanning that timeout's pending
-        entries, and is rebuilt on each call."""
-        for timeout, queue in self._queues.items():
-            ctx = queue.get(key)
-            if ctx is not None:
-                return ctx
-            for ctx in self._pending(timeout, queue):
-                if ctx.key == key:
-                    return ctx
-        return None
+        one: the first match in live_contexts(), which lists timeout by
+        timeout. So a pending half is rebuilt on each call."""
+        return next((ctx for ctx in self.live_contexts() if ctx.key == key), None)
 
     def emit(self, alert: Any) -> None:
         report = self.report

@@ -154,13 +154,9 @@ class _AddressSpace:
 
     def __init__(self, rng: random.Random, cidrs: Sequence[str], scanner_ips: Iterable[str]):
         self._rng = rng
-        nets = [ipaddress.ip_network(c) for c in cidrs]
-        self._masks = [(int(n.network_address), int(n.netmask)) for n in nets]
-        self._bases = [(int(n.network_address), n.num_addresses) for n in nets]
+        self._nets = LocalNetworks(cidrs)
+        self._bases = [(int(n.network_address), n.num_addresses) for n in map(ipaddress.ip_network, cidrs)]
         self._taken = {int(ipaddress.IPv4Address(ip)) for ip in scanner_ips}
-
-    def _is_local(self, value: int) -> bool:
-        return any((value & mask) == net for net, mask in self._masks)
 
     def local_ip(self) -> str:
         base, size = self._bases[self._rng.randrange(len(self._bases))]
@@ -182,10 +178,11 @@ class _AddressSpace:
     def fresh_remote_ip(self) -> str:
         for _ in range(_MAX_REJECTS):
             value = self._rng.randrange(1, 1 << 32)
-            if value in self._taken or self._is_local(value):
+            ip = _ip_text(value)
+            if value in self._taken or self._nets.contains(ip):
                 continue
             self._taken.add(value)
-            return _ip_text(value)
+            return ip
         raise ConfigError("could not draw a fresh remote address")
 
 

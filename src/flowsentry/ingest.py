@@ -8,7 +8,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import repeat
+from itertools import chain, repeat
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, TextIO
 
 logger = logging.getLogger(__name__)
@@ -403,13 +403,15 @@ def parse_blocks(blocks: Iterable[tuple[str, int]], stats: IngestStats) -> Itera
             yield record
 
 
-def ingest(source: str) -> tuple[Iterator[FlowRecord], IngestStats]:
-    """Parse a log file, read to its end, into records.
+def ingest(*sources: str) -> tuple[Iterator[FlowRecord], IngestStats]:
+    """Parse log files, each read to its end, into records.
 
     Returns a lazy record iterator plus a stats object that fills in as the
-    iterator is consumed. The file is split into lines as open_stream
+    iterator is consumed. Several files are read one after another as one
+    stream with one stats object; each file's last line is a line of its
+    own even without a newline. A file is split into lines as open_stream
     splits it, and parsed by parse_blocks; run_follow runs the same loop
     over each poll of a growing file.
     """
     stats = IngestStats()
-    return parse_blocks(_file_blocks(source), stats), stats
+    return parse_blocks(chain.from_iterable(map(_file_blocks, sources)), stats), stats

@@ -4,7 +4,7 @@ vulnerability files, and the console."""
 from __future__ import annotations
 
 import sys
-from typing import IO, Any, NamedTuple
+from typing import IO, Any, Callable, NamedTuple
 
 from .ingest import PROTOCOL_TEXT, FlowRecord, format_tod
 from .scanrules import OUTGOING, VERTICAL, Direction, ScanAlert, VulnAlert
@@ -44,10 +44,13 @@ class SinkSet:
     dropped); console echoes scan alerts to stdout. A SinkSet has one
     producer: every write comes from the thread that runs the engine.
 
+    write(name, line) is the one line writer: emit and baseline_scan write
+    alerts through it. traffic() writes a traffic line to its direction's
+    file with its own inline check, as it runs once per record.
     Files are buffered: flush() pushes them out (run_follow calls it once
-    per poll). Failed writes, flushes and closes are counted in
-    write_failures, never raised; a failed console write, such as one to a
-    closed pipe, also turns the console off.
+    per poll). A failed write, flush or close is counted in write_failures,
+    never raised; a failed console write, such as one to a closed pipe, also
+    turns the console off.
     """
 
     def __init__(
@@ -84,26 +87,26 @@ class SinkSet:
             self._open = True
         return self
 
+    def _attempt(self, call: Callable[..., Any], *args: Any) -> bool:
+        """Run call(*args): False, with the failure counted, if it raised OSError."""
+        try:
+            call(*args)
+        except OSError:
+            self.write_failures += 1
+            return False
+        return True
+
     def flush(self) -> None:
         """Flush every open file, and stdout when the console is on."""
         for handle in self._handles.values():
-            try:
-                handle.flush()
-            except OSError:
-                self.write_failures += 1
+            self._attempt(handle.flush)
         if self.console:
-            try:
-                sys.stdout.flush()
-            except OSError:
-                self.write_failures += 1
+            self._attempt(sys.stdout.flush)
 
     def close(self) -> None:
         """Close every file, even if one fails (closing flushes it), then flush()."""
         for handle in self._handles.values():
-            try:
-                handle.close()
-            except OSError:
-                self.write_failures += 1
+            self._attempt(handle.close)
         self._handles.clear()
         self._open = False
         self.flush()
@@ -114,22 +117,15 @@ class SinkSet:
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
-    def _write(self, name: str, text: str) -> bool:
-        """Write text to the named file if it is open; True when it is."""
+    def write(self, name: str, line: str) -> bool:
+        """Write one line to the named file ("incoming", "outgoing",
+        "portscans" or "vulscans"); True when that file is open, even if the
+        write failed."""
         handle = self._handles.get(name)
         if handle is None:
             return False
-        try:
-            handle.write(text)
-        except OSError:
-            self.write_failures += 1
+        self._attempt(handle.write, line + "\n")
         return True
-
-    def write_portscans(self, text: str) -> None:
-        self._write("portscans", text + "\n")
-
-    def write_vulscans(self, text: str) -> None:
-        self._write("vulscans", text + "\n")
 
     def traffic(self, direction: Direction, text: str) -> None:
         """Write one firewall-style traffic line to its direction's file."""
@@ -148,15 +144,11 @@ class SinkSet:
             self.traffic(item.direction, item.text)
             return False
         if isinstance(item, ScanAlert):
-            block = format_scan_alert(item) + "\n"
-            taken = self._write("portscans", block)
-            if self.console:
-                try:
-                    sys.stdout.write(block)
-                except OSError:
-                    self.write_failures += 1
-                    self.console = False
+            block = format_scan_alert(item)
+            taken = self.write("portscans", block)
+            if self.console and not self._attempt(sys.stdout.write, block + "\n"):
+                self.console = False
             return taken or self.console
         if isinstance(item, VulnAlert):
-            return self._write("vulscans", format_vuln_alert(item) + "\n")
+            return self.write("vulscans", format_vuln_alert(item))
         return False

@@ -136,7 +136,6 @@ def test_diff_classifies_engine_only_sources_as_non_adjacent():
     diff = compare_reports([alert], empty)
     assert diff.engine_only == ("5.5.5.10",)
     assert diff.common == ()
-    assert diff.classify() == {"5.5.5.10": "non-adjacent"}
     assert "engine only: 1" in diff.summary_lines()[1]
     assert any("5.5.5.10 (non-adjacent)" in line for line in diff.summary_lines())
 

@@ -11,6 +11,7 @@ import yaml
 
 from flowsentry import cli
 from flowsentry.cli import OUTPUT_DIR_ENV, build_parser, run_command
+from flowsentry.engine import CorrelationEngine
 from flowsentry.generator import GenConfig, ScanSpec, generate
 from flowsentry.reporting import SinkSet
 from flowsentry.scanrules import ScanAlert, ScanKind, VulnAlert
@@ -576,6 +577,36 @@ def test_compare_flags_interleaved_scans_as_engine_only(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "engine only: 1" in out
     assert "5.5.5.10 (non-adjacent)" in out
+
+
+def test_compare_reads_its_log_once_feeding_the_engine_each_record_first(tmp_path, monkeypatch, capsys):
+    # Each record is processed before the next one is pulled: the log is
+    # never held whole, and a FIFO can be compared.
+    pulled = []
+    processed = []
+    real_ingest = cli.ingest
+    real_process = CorrelationEngine.process
+
+    def counting_ingest(*sources):
+        records, stats = real_ingest(*sources)
+
+        def counted():
+            for record in records:
+                pulled.append(record)
+                yield record
+
+        return counted(), stats
+
+    def recording_process(engine, record):
+        processed.append(len(pulled))
+        real_process(engine, record)
+
+    monkeypatch.setattr(cli, "ingest", counting_ingest)
+    monkeypatch.setattr(CorrelationEngine, "process", recording_process)
+    assert run_command(["compare", str(write_corpus(tmp_path)), "--timeout", "900"]) == 0
+    assert "engine only: 1" in capsys.readouterr().out
+    assert len(pulled) > 1
+    assert processed == list(range(1, len(pulled) + 1))
 
 
 def test_bench_prints_json_and_summary(tmp_path, capsys):

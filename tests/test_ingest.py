@@ -349,6 +349,30 @@ def test_batch_ingest_matches_parse_line_over_any_block_edges(tmp_path, monkeypa
     assert (list(records), stats) == _parsed_lines(path)
 
 
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@pytest.mark.parametrize("block_chars", [7, None])
+@given(data=st.data())
+def test_ingest_of_several_logs_is_each_logs_records_in_turn(tmp_path, monkeypatch, block_chars, data):
+    if block_chars is not None:
+        monkeypatch.setattr(sys.modules[ingest.__module__], "BLOCK_CHARS", block_chars)
+    first, second = tmp_path / "a.log", tmp_path / "b.log"
+    # A last line with no newline is a line of its own, not the start of the
+    # next log's first line.
+    unterminated = data.draw(st.sampled_from([b"", make_line(time="14:06:00").encode()]))
+    first.write_bytes(_draw_log(data, "0" * 16 + "5.5.5.10") + unterminated)
+    second.write_bytes(_draw_log(data, "0" * 16 + "5.5.5.10"))
+    records_a, stats_a = ingest(str(first))
+    records_b, stats_b = ingest(str(second))
+    want = list(records_a) + list(records_b)
+    records, stats = ingest(str(first), str(second))
+    assert list(records) == want
+    assert stats == IngestStats(
+        stats_a.lines_read + stats_b.lines_read,
+        stats_a.records_parsed + stats_b.records_parsed,
+        stats_a.parse_failures + stats_b.parse_failures,
+    )
+
+
 def _draw_log(data, long_address):
     """The bytes of a log of up to 30 lines of every kind that splits or
     parses differently, the last one maybe without a newline."""

@@ -134,8 +134,8 @@ def test_raw_line_writers_for_the_batch_detector(tmp_path):
     portscans = tmp_path / "portscans"
     vulscans = tmp_path / "vulscans"
     with SinkSet(portscans_path=str(portscans), vulscans_path=str(vulscans)) as sinks:
-        sinks.write_portscans("banner line")
-        sinks.write_vulscans("vuln line")
+        sinks.write("portscans", "banner line")
+        sinks.write("vulscans", "vuln line")
     assert portscans.read_text() == "banner line\n"
     assert vulscans.read_text() == "vuln line\n"
 
