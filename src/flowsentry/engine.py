@@ -59,11 +59,12 @@ class ContextSpec:
 
     hold, when given, maps a record to its held message, the form the
     store keeps in place of the record: only what trigger and on_fire
-    read. The default, None, holds the record itself. trigger, on_fire,
-    live_contexts() and find_context see only held messages, and group and
-    keys must give the same answer for a record and for its held form. The
-    engine calls hold lazily: a source-first entry keeps its record as
-    given, and holds it only when a pending half joins the queue or is read.
+    read, in any form, such as a formatted line. The default, None, holds
+    the record itself. trigger, on_fire, live_contexts() and find_context
+    see only held messages; group and keys see only records, since a
+    source-first entry keeps its record as given. The engine calls hold
+    lazily: it holds an entry's record only when a pending half joins the
+    queue or is read.
     """
 
     timeout_value: float
@@ -284,6 +285,8 @@ class CorrelationEngine:
         deadline = self._now + timeout
         grouping = spec.grouping
         hold = spec.hold
+        # group reads the record as received, never its held form.
+        received = message
         created = missed = 0
         for key in keys:
             ctx = queue.get(key)
@@ -304,7 +307,7 @@ class CorrelationEngine:
         if missed:
             # The keys that missed are the ones still not in the queue.
             sources = self._sources[timeout]
-            group = grouping[0](message)
+            group = grouping[0](received)
             entry = sources.get(group)
             if entry is None and missed == len(keys):
                 # Every key is new: the group is seen once so far, and its

@@ -8,7 +8,7 @@ import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .engine import Context, ContextSpec
@@ -115,7 +115,7 @@ def classify_direction(record: FlowRecord, nets: LocalNetworks) -> Direction:
     return OUTGOING if nets.contains(record.source_ip) else INCOMING
 
 
-def derive_keys(record: FlowRecord | Probe) -> tuple[ScanKey, ScanKey]:
+def derive_keys(record: FlowRecord) -> tuple[ScanKey, ScanKey]:
     """Both scan keys for a record; every incoming record belongs to exactly
     one vertical and one horizontal context."""
     source_ip = record.source_ip
@@ -130,60 +130,11 @@ def derive_keys(record: FlowRecord | Probe) -> tuple[ScanKey, ScanKey]:
 _new_tuple = tuple.__new__
 
 
-class Probe(NamedTuple):
-    """What the scan rule holds of a record: the fields its keys, triggers
-    and alerts read, under the record's own names. A probe built by probe()
-    shares its source_ip, dest_ip and dest_port objects with every other
-    held probe of equal value, as long as the held-value table keeps them."""
-
-    source_ip: str
-    source_port: int
-    dest_ip: str
-    dest_port: int
-    event_time: int
-
-
-_probe_fields = itemgetter(*map(FlowRecord._fields.index, Probe._fields))
-
-# Values already held, each mapped to itself: the first probe to hold an
-# address or a destination port puts its object here, and later probes
-# with an equal value take that object. A text address never equals an int
-# port, so one table serves both. It is cleared before a probe could take
-# it past _HELD_VALUES_CAP entries; probes already built keep their objects.
-_HELD_VALUES_CAP = 1 << 14
-_held_values: dict[str | int, str | int] = {}
-
-
-def probe(record: FlowRecord) -> Probe:
-    """The scan rule's held form of a record (ContextSpec.hold).
-
-    A store over real traffic holds many probes from one client, to one
-    server or to one port, and each parsed record has its own copies of
-    those values. So source_ip, dest_ip and dest_port come from
-    _held_values, and equal values held at once are one object.
-
-    The table is capped because a long follow meets new addresses without
-    end. sys.intern would share the strings too, but on CPython 3.12 and
-    later interned strings are immortal: every address ever held would
-    stay in memory after its contexts expired.
-
-    The engine holds a record only when it goes into a queued Context (see
-    CorrelationEngine.add), so fresh sources rarely reach the table.
-    find_context and live_contexts() call this too, each time they show a
-    pending half: they may add to the table, never to the store.
-    """
-    source_ip, source_port, dest_ip, dest_port, event_time = _probe_fields(record)
-    held = _held_values
-    if len(held) > _HELD_VALUES_CAP - 3:
-        held.clear()
-    share = held.setdefault
-    fields = (share(source_ip, source_ip), source_port, share(dest_ip, dest_ip), share(dest_port, dest_port), event_time)
-    return _new_tuple(Probe, fields)
-
-
-def evidence_line(record: FlowRecord | Probe) -> str:
-    """One evidence line of a scan alert, built from a held message when
-    its context fires."""
+def evidence_line(record: FlowRecord) -> str:
+    """One evidence line of a scan alert: "src:sport to dst:dport at
+    HH:MM:SS". It is also the scan rule's held message (ContextSpec.hold),
+    built when the engine holds the record, so the contexts that one hold
+    call fills share the one string."""
     return (
         f"{record.source_ip}:{record.source_port} to "
         f"{record.dest_ip}:{record.dest_port} at {format_tod(record.event_time)}"
@@ -212,9 +163,10 @@ class TriggerPolicy:
         if self.min_messages < 2:
             raise ValueError("min_messages floor is 2")
 
-    def trigger(self) -> Callable[[ScanKey, Sequence[Probe]], bool]:
+    def trigger(self) -> Callable[[ScanKey, Sequence[str]], bool]:
         """The policy as a ContextSpec trigger: a predicate on a context's
-        key and messages, with the mode decided here, not at each expiry."""
+        key and evidence lines, with the mode decided here, not at each
+        expiry."""
         threshold = self.min_messages
         if self.mode == "min_messages":
             return lambda key, messages: len(messages) >= threshold
@@ -228,24 +180,31 @@ def scan_spec(timeout_value: float, policy: TriggerPolicy) -> ContextSpec:
     """The scan rule's ContextSpec. Both keys of a record share its remote
     source, the grouping, so a source seen once is one engine entry; a
     policy's threshold is at least 2, so no alert needs the trigger call
-    that one-message contexts skip. A context holds each record as a Probe."""
+    that one-message contexts skip. A context holds each record as its
+    evidence line, formatted in arrival order as the engine holds the
+    record, one string for both of its contexts; the trigger and
+    scan_alert read only those lines."""
     return ContextSpec(
         timeout_value,
         trigger=policy.trigger(),
         on_fire=scan_alert,
         grouping=(_source_ip, derive_keys),
-        hold=probe,
+        hold=evidence_line,
     )
 
 
-def count_distinct_targets(key: ScanKey, messages: Sequence[FlowRecord | Probe]) -> int:
-    if key[0] is VERTICAL:
-        return len({m.dest_port for m in messages})
-    return len({m.dest_ip for m in messages})
+def count_distinct_targets(key: ScanKey, messages: Sequence[str]) -> int:
+    """Distinct destination endpoints ("dst:dport", the third word of an
+    evidence line) among a scan context's lines. The key fixes the other
+    half of the endpoint, so this counts distinct ports in a vertical
+    context and distinct addresses in a horizontal one."""
+    return len({line.split(" ", 3)[2] for line in messages})
 
 
 def scan_alert(ctx: Context) -> ScanAlert:
-    """Build the alert for a scan context whose trigger already held."""
+    """Build the alert for a scan context whose trigger already held, from
+    its evidence lines: first_seen and last_seen are the times the first
+    and the last line end with."""
     kind, remote_ip, fixed = ctx.key
     messages = ctx.messages
     return _new_tuple(
@@ -254,9 +213,9 @@ def scan_alert(ctx: Context) -> ScanAlert:
             kind,
             remote_ip,
             fixed if kind is VERTICAL else int(fixed),
-            tuple(map(evidence_line, messages)),
-            format_tod(messages[0].event_time),
-            format_tod(messages[-1].event_time),
+            tuple(messages),
+            messages[0].rpartition(" at ")[2],
+            messages[-1].rpartition(" at ")[2],
             count_distinct_targets(ctx.key, messages),
         ),
     )

@@ -33,6 +33,7 @@ from flowsentry.scanrules import (
     WatchlistEntry,
     classify_direction,
     derive_keys,
+    evidence_line,
     scan_alert,
 )
 
@@ -177,7 +178,9 @@ def test_criterion_4_context_invariants_under_fuzzing():
                 # Only a context whose trigger held fires.
                 assert holds(ctx.key, ctx.messages)
                 fired.append(ctx)
-                return scan_alert(ctx)
+                # scan_alert reads a context of evidence lines, the scan
+                # rule's held form; this spec holds the records themselves.
+                return scan_alert(Context(ctx.key, ctx.spec, ctx.deadline, list(map(evidence_line, ctx.messages))))
 
             spec = ContextSpec(timeout, trigger=holds, on_fire=fire)
 
@@ -229,7 +232,7 @@ def test_criterion_5_single_probes_never_alert():
                             probe = records[0] if records else make_record()
                             key = derive_keys(probe)[0 if kind is ScanKind.VERTICAL else 1]
                             ctx = Context(key, ContextSpec(900.0, trigger=lambda key, messages: True, on_fire=lambda c: None))
-                            ctx.messages.extend(records)
+                            ctx.messages.extend(map(evidence_line, records))
                             alert = scan_alert(ctx) if policy.trigger()(ctx.key, ctx.messages) else None
                             should_fire = size > 0 and (size if mode == "min_messages" else distinct) >= threshold
                             assert (alert is not None) == should_fire

@@ -6,12 +6,12 @@ import logging
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flowsentry import scanrules
-from flowsentry.engine import Context, ContextSpec
+from flowsentry.engine import Context, ContextSpec, CorrelationEngine, Rule, Ruleset
 from flowsentry.scanrules import (
+    HORIZONTAL,
+    VERTICAL,
     Direction,
     LocalNetworks,
-    Probe,
     ScanKind,
     TriggerPolicy,
     Watchlist,
@@ -20,18 +20,20 @@ from flowsentry.scanrules import (
     classify_direction,
     count_distinct_targets,
     derive_keys,
+    evidence_line,
     load_watchlist,
-    probe,
     scan_alert,
+    scan_spec,
 )
 
 from conftest import make_record
 
 
 def ctx_with(records, kind=ScanKind.HORIZONTAL):
+    """A scan context holding records as the scan rule does, as evidence lines."""
     key = derive_keys(records[0])[0 if kind is ScanKind.VERTICAL else 1]
     ctx = Context(key, ContextSpec(900.0, trigger=lambda key, messages: True, on_fire=lambda c: None))
-    ctx.messages.extend(records)
+    ctx.messages.extend(map(evidence_line, records))
     return ctx
 
 
@@ -86,40 +88,23 @@ def test_context_keys_are_hashable_and_ordered():
     ]
 
 
-def unshared(record):
-    """The probe of record built without the held-value table."""
-    return Probe(record.source_ip, record.source_port, record.dest_ip, record.dest_port, record.event_time)
+def test_a_record_held_in_two_contexts_is_one_string():
+    spec = scan_spec(900.0, TriggerPolicy("min_messages", 2))
 
+    def action(engine, record):
+        engine.add(derive_keys(record), spec, record)
 
-def test_probes_share_equal_addresses_and_destination_ports():
-    # Equal values built at run time are distinct objects, as the parser
-    # gives them for two lines.
-    first, second = (
-        make_record(time=t, src="5.5.5." + str(10), sport=sport, dst="10.0.0." + str(7), dport=int("12346"))
-        for t, sport in ((0, 3434), (1, 3435))
-    )
-    assert first.source_ip is not second.source_ip and first.dest_ip is not second.dest_ip
-    assert first.dest_port is not second.dest_port
-    a, b = probe(first), probe(second)
-    assert a.source_ip is b.source_ip and a.dest_ip is b.dest_ip and a.dest_port is b.dest_port
-    assert a == unshared(first) and b == unshared(second)
-    assert type(a) is Probe and a.dest_port == 12346
-
-
-def test_the_held_value_table_never_grows_past_its_cap():
-    cap = scanrules._HELD_VALUES_CAP
-    table = scanrules._held_values
-    sizes = []
-    # Every record brings three new values, so the table fills and is
-    # cleared more than once.
-    for n in range(cap):
-        low = f"{n >> 8}.{n & 255}"
-        record = make_record(src="5.5." + low, dst="10.0." + low, dport=1024 + n)
-        held = probe(record)
-        sizes.append(len(table))
-        assert held == unshared(record)
-    assert max(sizes) <= cap
-    assert sum(after < before for before, after in zip(sizes, sizes[1:])) >= 2
+    engine = CorrelationEngine(Ruleset([Rule("scan", lambda record: True, [action])]))
+    first = make_record(time=0, sport=3434)
+    retry = make_record(time=1, sport=3435)
+    for record in (first, retry):
+        engine.process(record)
+    vertical = engine.find_context((VERTICAL, "5.5.5.10", "10.0.0.7"))
+    horizontal = engine.find_context((HORIZONTAL, "5.5.5.10", "12346"))
+    assert vertical.messages == horizontal.messages == [evidence_line(first), evidence_line(retry)]
+    assert all(type(line) is str for line in vertical.messages)
+    assert vertical.messages[0] is horizontal.messages[0]
+    assert vertical.messages[1] is horizontal.messages[1]
 
 
 def test_trigger_policy_validation():

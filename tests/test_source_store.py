@@ -12,8 +12,8 @@ from operator import attrgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowsentry.engine import ContextSpec, CorrelationEngine, Rule, Ruleset
-from flowsentry.scanrules import HORIZONTAL, VERTICAL, TriggerPolicy, derive_keys, probe, scan_spec
+from flowsentry.engine import Context, ContextSpec, CorrelationEngine, Rule, Ruleset
+from flowsentry.scanrules import HORIZONTAL, VERTICAL, TriggerPolicy, derive_keys, evidence_line, scan_spec
 
 from conftest import make_record
 
@@ -125,7 +125,7 @@ def test_a_source_splits_one_half_at_a_time_and_keeps_its_place():
     def process(time, src, dst, dport):
         record = make_record(time=time, src=src, dst=dst, dport=dport)
         engine.process(record)
-        return probe(record)
+        return evidence_line(record)
 
     a = process(0, "5.5.5.1", "10.0.0.1", 80)
     b = process(5, "6.6.6.6", "10.0.0.1", 80)
@@ -247,7 +247,7 @@ def test_a_list_and_a_tuple_of_the_same_keys_leave_the_same_store(start, steps, 
     assert as_list.finish() == as_tuple.finish()
 
 
-class CountingProbe:
+class CountingHold:
     """The scan rule's hold, recording each record it is called on."""
 
     def __init__(self):
@@ -255,11 +255,11 @@ class CountingProbe:
 
     def __call__(self, record):
         self.calls.append(record)
-        return probe(record)
+        return evidence_line(record)
 
 
 def test_sources_seen_once_are_never_held():
-    hold = CountingProbe()
+    hold = CountingHold()
     spec = replace(scan_spec(100.0, TriggerPolicy("min_messages", 2)), hold=hold)
     engine = engine_for(spec)
     for n in range(300):
@@ -270,7 +270,7 @@ def test_sources_seen_once_are_never_held():
 
 
 def test_a_source_first_record_is_held_as_each_of_its_halves_splits_off():
-    hold = CountingProbe()
+    hold = CountingHold()
     spec = replace(scan_spec(100.0, TriggerPolicy("min_messages", 2)), hold=hold)
     engine = engine_for(spec)
     first = make_record(time=0, src="5.5.5.1", dst="10.0.0.1", dport=80)
@@ -291,8 +291,8 @@ def test_a_source_first_record_is_held_as_each_of_its_halves_splits_off():
     assert hold.calls == [elsewhere, same_host, first, same_port, first]
     vertical = engine.find_context((VERTICAL, "5.5.5.1", "10.0.0.1"))
     horizontal = engine.find_context((HORIZONTAL, "5.5.5.1", "80"))
-    assert vertical.messages == [probe(first), probe(same_host)]
-    assert horizontal.messages == [probe(first), probe(same_port)]
+    assert vertical.messages == [evidence_line(first), evidence_line(same_host)]
+    assert horizontal.messages == [evidence_line(first), evidence_line(same_port)]
     # Both halves split off at once: one call, and they share the held form.
     alone = make_record(time=30, src="6.6.6.6", dst="10.0.0.1", dport=80)
     again = make_record(time=31, src="6.6.6.6", dst="10.0.0.1", dport=80)
@@ -302,11 +302,11 @@ def test_a_source_first_record_is_held_as_each_of_its_halves_splits_off():
     vertical = engine.find_context((VERTICAL, "6.6.6.6", "10.0.0.1"))
     horizontal = engine.find_context((HORIZONTAL, "6.6.6.6", "80"))
     assert vertical.messages[0] is horizontal.messages[0]
-    assert vertical.messages == [probe(alone), probe(again)]
+    assert vertical.messages == [evidence_line(alone), evidence_line(again)]
 
 
 def test_the_generic_path_holds_each_record_once():
-    hold = CountingProbe()
+    hold = CountingHold()
     spec = replace(scan_spec(100.0, TriggerPolicy("min_messages", 2)), grouping=None, hold=hold)
     engine = engine_for(spec)
     records = [make_record(time=n, src="5.5.5.1", dst="10.0.0.1", dport=80 + n % 2) for n in range(4)]
@@ -315,12 +315,28 @@ def test_the_generic_path_holds_each_record_once():
     assert hold.calls == records
     vertical = engine.find_context((VERTICAL, "5.5.5.1", "10.0.0.1"))
     horizontal = engine.find_context((HORIZONTAL, "5.5.5.1", "80"))
-    assert vertical.messages == list(map(probe, records))
+    assert vertical.messages == list(map(evidence_line, records))
     assert horizontal.messages[0] is vertical.messages[0]
 
 
 def held(contexts):
-    return [(deadline, key, tuple(map(probe, messages))) for deadline, key, messages in contexts]
+    return [(deadline, key, tuple(map(evidence_line, messages))) for deadline, key, messages in contexts]
+
+
+def holding_records(spec):
+    """spec holding the records themselves, with its trigger and on_fire
+    reading each context's records as the evidence lines spec would hold."""
+    trigger, on_fire = spec.trigger, spec.on_fire
+
+    def as_lines(ctx):
+        return Context(ctx.key, ctx.spec, ctx.deadline, list(map(evidence_line, ctx.messages)))
+
+    return replace(
+        spec,
+        hold=None,
+        trigger=lambda key, messages: trigger(key, list(map(evidence_line, messages))),
+        on_fire=lambda ctx: on_fire(as_lines(ctx)),
+    )
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -332,10 +348,10 @@ def held(contexts):
     threshold=st.integers(2, 3),
 )
 def test_holding_probes_matches_holding_records(start, steps, timeout, mode, threshold):
-    probes = scan_spec(timeout, TriggerPolicy(mode, threshold))
-    records = replace(probes, hold=None)
+    lines = scan_spec(timeout, TriggerPolicy(mode, threshold))
+    records = holding_records(lines)
     # A third engine that is never read keeps its entries as add left them.
-    read, quiet, whole = engine_for(probes), engine_for(probes), engine_for(records)
+    read, quiet, whole = engine_for(lines), engine_for(lines), engine_for(records)
     engines = (read, quiet, whole)
     for record in stream(start, steps):
         for engine in engines:
@@ -344,3 +360,55 @@ def test_holding_probes_matches_holding_records(start, steps, timeout, mode, thr
         assert read.queue_lengths() == quiet.queue_lengths() == whole.queue_lengths()
         assert live(read) == held(live(whole))
     assert read.finish() == quiet.finish() == whole.finish()
+
+
+def test_each_held_record_is_formatted_once_and_its_alerts_share_the_line():
+    hold = CountingHold()
+    spec = replace(scan_spec(100.0, TriggerPolicy("min_messages", 2)), hold=hold)
+    engine = engine_for(spec)
+    # The first two records sit in both the vertical and the horizontal
+    # context, and both contexts fire.
+    first = make_record(time=0, src="5.5.5.1", sport=1000, dst="10.0.0.1", dport=80)
+    retry = make_record(time=1, src="5.5.5.1", sport=1001, dst="10.0.0.1", dport=80)
+    same_host = make_record(time=2, src="5.5.5.1", sport=1002, dst="10.0.0.1", dport=443)
+    same_port = make_record(time=3, src="5.5.5.1", sport=1003, dst="10.0.0.2", dport=80)
+    records = [first, retry, same_host, same_port]
+    for record in records:
+        engine.process(record)
+    report = engine.finish()
+    assert sorted(hold.calls, key=records.index) == records
+    horizontal, vertical = report.alerts
+    assert (horizontal.kind, vertical.kind) == (HORIZONTAL, VERTICAL)
+    assert horizontal.evidence == tuple(map(evidence_line, [first, retry, same_port]))
+    assert vertical.evidence == tuple(map(evidence_line, [first, retry, same_host]))
+    assert horizontal.evidence[0] is vertical.evidence[0]
+    assert horizontal.evidence[1] is vertical.evidence[1]
+
+
+def test_group_and_keys_never_see_a_held_message():
+    # repr holds a record as text with none of its fields, so a group or
+    # keys call on a held message would fail.
+    spec = ContextSpec(
+        100.0,
+        trigger=lambda key, messages: len(messages) >= 2,
+        on_fire=lambda ctx: (ctx.key, tuple(ctx.messages)),
+        grouping=(attrgetter("source_ip"), derive_keys),
+        hold=repr,
+    )
+    engine = engine_for(spec)
+    first = make_record(time=0, src="5.5.5.1", dst="10.0.0.1", dport=80)
+    # Back on the same host: the vertical half splits off.
+    same_host = make_record(time=1, src="5.5.5.1", dst="10.0.0.1", dport=443)
+    # Back on a new host: the new port's context slides, and the new host
+    # misses in the queue with the source's entry still pending.
+    new_host = make_record(time=2, src="5.5.5.1", dst="10.0.0.2", dport=443)
+    # Back on the first host: its context slides, and the new port misses.
+    new_port = make_record(time=3, src="5.5.5.1", dst="10.0.0.1", dport=8080)
+    for record in (first, same_host, new_host, new_port):
+        engine.process(record)
+    report = engine.finish()
+    assert report.alerts == [
+        ((HORIZONTAL, "5.5.5.1", "443"), (repr(same_host), repr(new_host))),
+        ((VERTICAL, "5.5.5.1", "10.0.0.1"), (repr(first), repr(same_host), repr(new_port))),
+    ]
+    assert (report.contexts_created, report.contexts_expired, report.contexts_fired) == (5, 5, 2)
